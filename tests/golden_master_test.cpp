@@ -8,8 +8,12 @@
 // only those — are scrubbed from both sides before comparing.  The figure
 // fixtures are fully deterministic and compare raw.
 //
-// The bench and fixture directories arrive as compile definitions
-// (VRL_BENCH_DIR, VRL_GOLDEN_DIR) from tests/CMakeLists.txt.
+// The fault path has its own fixture: examples/fault_campaign with all four
+// injectors on, pinned to the output of the build before the refresh-physics
+// kernel and the VRT fault clock were optimised.
+//
+// The bench, example and fixture directories arrive as compile definitions
+// (VRL_BENCH_DIR, VRL_EXAMPLES_DIR, VRL_GOLDEN_DIR) from tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
@@ -22,13 +26,16 @@
 namespace {
 
 std::string BenchDir() { return VRL_BENCH_DIR; }
+std::string ExamplesDir() { return VRL_EXAMPLES_DIR; }
 std::string GoldenDir() { return VRL_GOLDEN_DIR; }
 
-/// Runs `<bench>/<name> --json -` and captures stdout.  Text-mode tables go
-/// to stdout too when --json targets a file, so `-` keeps the pipe pure
-/// JSON.
-std::string RunBench(const std::string& name) {
-  const std::string command = BenchDir() + "/" + name + " --json - 2>/dev/null";
+/// Runs `<dir>/<name> <args> --json -` and captures stdout.  Text-mode
+/// tables go to stdout too when --json targets a file, so `-` keeps the
+/// pipe pure JSON (plus any trailing verdict line the binary prints).
+std::string RunBench(const std::string& dir, const std::string& name,
+                     const std::string& args = "") {
+  const std::string command = dir + "/" + name + (args.empty() ? "" : " ") +
+                              args + " --json - 2>/dev/null";
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) {
     ADD_FAILURE() << "popen failed for " << command;
@@ -65,8 +72,10 @@ std::string ScrubWallClock(const std::string& text) {
   return std::regex_replace(text, kDuration, "<time>");
 }
 
-void ExpectMatchesGolden(const std::string& name, bool scrub = false) {
-  std::string actual = RunBench(name);
+void ExpectMatchesGolden(const std::string& name, bool scrub = false,
+                         const std::string& dir = BenchDir(),
+                         const std::string& args = "") {
+  std::string actual = RunBench(dir, name, args);
   std::string expected = ReadFixture(name);
   ASSERT_FALSE(actual.empty());
   ASSERT_FALSE(expected.empty());
@@ -103,6 +112,12 @@ TEST(GoldenMaster, Fig5Equalization) {
 
 TEST(GoldenMaster, Table1Accuracy) {
   ExpectMatchesGolden("table1_accuracy", /*scrub=*/true);
+}
+
+TEST(GoldenMaster, FaultCampaignAllInjectors) {
+  ExpectMatchesGolden("fault_campaign", /*scrub=*/false, ExamplesDir(),
+                      "--windows 4 --temp-excursion 85 --drift 0.05 "
+                      "--corruption 0.01");
 }
 
 TEST(GoldenMaster, ScrubberOnlyTouchesDurations) {
