@@ -11,7 +11,6 @@ ChargeTracker::ChargeTracker(const model::RefreshModel& model,
                              std::size_t rows)
     : model_(model),
       leakage_(model.spec().full_target, model.MinReadableFraction()),
-      readable_(model.MinReadableFraction()),
       fraction_(rows, model.spec().full_target),
       last_event_s_(rows, 0.0),
       consecutive_partials_(rows, 0) {
@@ -46,7 +45,7 @@ ChargeTracker::SenseResult ChargeTracker::Refresh(std::size_t row,
 
   SenseResult result;
   result.fraction_before = fraction_[row];
-  result.margin = fraction_[row] - readable_;
+  result.margin = fraction_[row] - model_.MinReadableFraction();
   min_margin_ = std::min(min_margin_, result.margin);
 
   const double cap =

@@ -60,7 +60,6 @@ class ChargeTracker {
 
   const model::RefreshModel& model_;
   retention::LeakageModel leakage_;
-  double readable_;
   double min_margin_ = 1.0;
   std::vector<double> fraction_;
   std::vector<double> last_event_s_;

@@ -51,14 +51,19 @@ VrtFlipInjector::VrtFlipInjector(const retention::VrtParams& params)
 
 void VrtFlipInjector::Advance(double now_s, FaultState& state, Rng& rng) {
   const std::size_t rows = state.rows();
+  auto& scale = state.vrt_scale();
   if (!initialized_) {
     vrt_rows_ = retention::SampleVrtRows(params_, rows, rng);
-    in_low_.assign(rows, false);
+    vrt_index_.clear();
     for (std::size_t r = 0; r < rows; ++r) {
       if (vrt_rows_[r]) {
-        in_low_[r] = rng.Bernoulli(params_.low_state_prob);
-        state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+        vrt_index_.push_back(r);
       }
+    }
+    in_low_.assign(vrt_index_.size(), false);
+    for (std::size_t k = 0; k < vrt_index_.size(); ++k) {
+      in_low_[k] = rng.Bernoulli(params_.low_state_prob);
+      scale[vrt_index_[k]] = in_low_[k] ? params_.low_ratio : 1.0;
     }
     initialized_ = true;
     last_now_s_ = now_s;
@@ -86,14 +91,11 @@ void VrtFlipInjector::Advance(double now_s, FaultState& state, Rng& rng) {
     const double d_high = d_low * (1.0 - p) / p;
     p_enter_low = -std::expm1(-dt / d_high);
   }
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (!vrt_rows_[r]) {
-      continue;
-    }
-    const double p_flip = in_low_[r] ? p_leave_low : p_enter_low;
+  for (std::size_t k = 0; k < vrt_index_.size(); ++k) {
+    const double p_flip = in_low_[k] ? p_leave_low : p_enter_low;
     if (rng.Bernoulli(p_flip)) {
-      in_low_[r] = !in_low_[r];
-      state.vrt_scale()[r] = in_low_[r] ? params_.low_ratio : 1.0;
+      in_low_[k] = !in_low_[k];
+      scale[vrt_index_[k]] = in_low_[k] ? params_.low_ratio : 1.0;
     }
   }
 }

@@ -79,6 +79,11 @@ class FaultInjector {
 /// exponentially-distributed times, with stationary P(low) =
 /// VrtParams::low_state_prob and mean low-state dwell
 /// VrtParams::mean_dwell_s.
+///
+/// Each Advance costs O(VRT rows), not O(rows): the first Advance samples
+/// the VRT rows and keeps them as an ascending index list, and later
+/// advances visit only that list, drawing from the RNG in ascending row
+/// order exactly as a scan over every row would.
 class VrtFlipInjector : public FaultInjector {
  public:
   explicit VrtFlipInjector(const retention::VrtParams& params);
@@ -92,7 +97,8 @@ class VrtFlipInjector : public FaultInjector {
  private:
   retention::VrtParams params_;
   std::vector<bool> vrt_rows_;
-  std::vector<bool> in_low_;
+  std::vector<std::size_t> vrt_index_;  ///< Ascending rows with vrt_rows_ set.
+  std::vector<bool> in_low_;            ///< Parallel to vrt_index_.
   double last_now_s_ = 0.0;
   bool initialized_ = false;
 };

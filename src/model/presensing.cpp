@@ -5,13 +5,39 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/tridiagonal.hpp"
 
 namespace vrl::model {
 
 PreSensingModel::PreSensingModel(const TechnologyParams& tech) : tech_(tech) {
   tech_.Validate();
   denom_ = tech_.cs + tech_.Cbl() + 2.0 * tech_.Cbb() + tech_.Cbw();
+  mid_ = tech_.columns / 2;
+  coupling_ = CouplingFactorization(K2(), tech_.columns);
+  for (const DataPattern pattern : kAllDataPatterns) {
+    tracked_[static_cast<std::size_t>(pattern)] = MakeTrackedArray(pattern, 0);
+  }
+  tracked_.back() = MakeTrackedArray(DataPattern::kAlternating, 1);
+}
+
+PreSensingModel::TrackedArray PreSensingModel::MakeTrackedArray(
+    DataPattern pattern, std::size_t offset) const {
+  TrackedArray array;
+  array.rhs.resize(tech_.columns);
+  const double k1 = K1();
+  const double veq = tech_.Veq();
+  for (std::size_t i = 0; i < array.rhs.size(); ++i) {
+    const double cell = CellValue(pattern, i + offset) ? tech_.vdd : tech_.vss;
+    array.rhs[i] = k1 * (cell - veq);
+  }
+  array.prefix = coupling_.ForwardPrefix(array.rhs, mid_);
+  return array;
+}
+
+double PreSensingModel::SolveTracked(const TrackedArray& array,
+                                     double charge_fraction) const {
+  const double cell = tech_.vss + charge_fraction * (tech_.vdd - tech_.vss);
+  return coupling_.SolveAt(mid_, array.prefix, K1() * (cell - tech_.Veq()),
+                           array.rhs);
 }
 
 double PreSensingModel::K1() const { return tech_.cs / denom_; }
@@ -80,13 +106,8 @@ double PreSensingModel::WorstSenseVoltageAllPatterns(
 
 double PreSensingModel::TrackedSenseVoltage(DataPattern pattern,
                                             double charge_fraction) const {
-  std::vector<double> cells(tech_.columns);
-  const std::size_t mid = tech_.columns / 2;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cells[i] = CellValue(pattern, i) ? tech_.vdd : tech_.vss;
-  }
-  cells[mid] = tech_.vss + charge_fraction * (tech_.vdd - tech_.vss);
-  return SenseVoltages(cells)[mid];
+  return SolveTracked(tracked_[static_cast<std::size_t>(pattern)],
+                      charge_fraction);
 }
 
 double PreSensingModel::WorstTrackedSenseVoltage(
@@ -96,16 +117,9 @@ double PreSensingModel::WorstTrackedSenseVoltage(
     worst = std::min(worst, TrackedSenseVoltage(pattern, charge_fraction));
   }
   // Flip the tracked cell's parity by probing with an offset pattern: under
-  // the alternating pattern this swaps the neighbours' data.  We emulate it
-  // by evaluating a one-cell-shifted alternating array.
-  std::vector<double> cells(tech_.columns);
-  const std::size_t mid = tech_.columns / 2;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cells[i] = CellValue(DataPattern::kAlternating, i + 1) ? tech_.vdd
-                                                           : tech_.vss;
-  }
-  cells[mid] = tech_.vss + charge_fraction * (tech_.vdd - tech_.vss);
-  worst = std::min(worst, SenseVoltages(cells)[mid]);
+  // the alternating pattern this swaps the neighbours' data (the
+  // one-cell-shifted alternating array built at construction).
+  worst = std::min(worst, SolveTracked(tracked_.back(), charge_fraction));
   return worst;
 }
 

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/data_pattern.hpp"
 #include "common/technology.hpp"
+#include "common/tridiagonal.hpp"
 
 /// \file presensing.hpp
 /// §2.2 of the paper: charge-sharing (pre-sensing) model with
@@ -20,6 +22,11 @@
 /// Lself (positive when the cell pulls its bitline up, negative when down)
 /// so opposite-data neighbours reduce each other's margin — this is what
 /// makes the model data-pattern dependent.
+///
+/// Evaluation cost: the constructor factorises (I - K2*T) once and builds
+/// the five tracked-cell probe arrays of WorstTrackedSenseVoltage together
+/// with their charge-independent forward-sweep prefixes, so a tracked solve
+/// touches only the rows from the tracked cell onward.
 
 namespace vrl::model {
 
@@ -80,8 +87,26 @@ class PreSensingModel {
   double UncoupledSenseVoltage(double cell_voltage) const;
 
  private:
+  /// One tracked-cell probe array: the Eq. 8 right-hand side K1*Lself of
+  /// the fully-charged neighbours (the tracked cell's own entry is replaced
+  /// per call) and the forward-sweep prefix d'[mid - 1], which does not
+  /// depend on the tracked cell's charge.
+  struct TrackedArray {
+    std::vector<double> rhs;
+    double prefix = 0.0;
+  };
+
+  /// Neighbours follow `pattern` evaluated at bitline index i + offset.
+  TrackedArray MakeTrackedArray(DataPattern pattern, std::size_t offset) const;
+  double SolveTracked(const TrackedArray& array, double charge_fraction) const;
+
   TechnologyParams tech_;
   double denom_;  ///< Cs + Cbl + 2Cbb + Cbw.
+  std::size_t mid_;  ///< Tracked cell position, tech.columns / 2.
+  CouplingFactorization coupling_;
+  /// Indexed by DataPattern value; the last entry is the alternating
+  /// pattern shifted by one bitline (the tracked cell's other parity).
+  std::array<TrackedArray, kAllDataPatterns.size() + 1> tracked_;
 };
 
 }  // namespace vrl::model

@@ -93,8 +93,8 @@ class RefreshModel {
   double TauEqSeconds() const;
 
   /// τpre [s]: wordline propagation across the row plus the time for U(t)
-  /// to decay to spec.presense_settle.
-  double TauPreSeconds() const;
+  /// to decay to spec.presense_settle.  Computed once, at construction.
+  double TauPreSeconds() const { return tau_pre_s_; }
 
   /// Wordline propagation delay across tech.columns [s].
   double WordlineDelaySeconds() const;
@@ -102,8 +102,8 @@ class RefreshModel {
   /// The lowest cell charge fraction the sense amplifier can still resolve
   /// (worst data pattern), i.e. where the developed difference equals
   /// tech.v_sense_min.  Retention time is defined as decay from
-  /// spec.full_target to this level.
-  double MinReadableFraction() const;
+  /// spec.full_target to this level.  Computed once, at construction.
+  double MinReadableFraction() const { return min_readable_fraction_; }
 
   /// Worst-pattern developed bitline difference at the end of pre-sensing,
   /// for a cell at `fraction` of full charge [V].
@@ -168,12 +168,15 @@ class RefreshModel {
 
  private:
   Cycles ToCycles(double seconds) const;
+  double ComputeMinReadableFraction() const;
 
   TechnologyParams tech_;
   Spec spec_;
   EqualizationModel eq_;
   PreSensingModel pre_;
   PostSensingModel post_;
+  double tau_pre_s_ = 0.0;
+  double min_readable_fraction_ = 0.0;
 };
 
 }  // namespace vrl::model

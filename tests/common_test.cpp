@@ -206,6 +206,68 @@ TEST(Tridiagonal, CouplingIncreasesUniformSenseVoltage) {
   EXPECT_GT(coupled[4], uncoupled[4]);
 }
 
+/// The Eq. 8 system as a general TridiagonalSystem, for bit-exact
+/// comparisons of CouplingFactorization against SolveTridiagonal.
+TridiagonalSystem CouplingAsGeneralSystem(double k2,
+                                          const std::vector<double>& rhs) {
+  const std::size_t n = rhs.size();
+  TridiagonalSystem sys;
+  sys.diag.assign(n, 1.0);
+  sys.lower.assign(n - 1, -k2);
+  sys.upper.assign(n - 1, -k2);
+  sys.rhs = rhs;
+  return sys;
+}
+
+std::vector<double> MixedRhs(std::size_t n) {
+  std::vector<double> rhs(n);
+  Rng rng(n);
+  for (double& value : rhs) {
+    value = rng.Uniform(-0.06, 0.06);
+  }
+  return rhs;
+}
+
+TEST(CouplingFactorization, SolveIsBitIdenticalToGeneralThomas) {
+  for (const double k2 : {0.0, 0.03, 0.2, 0.45}) {
+    for (const std::size_t n : {1u, 2u, 3u, 32u, 33u, 128u, 1024u}) {
+      const auto rhs = MixedRhs(n);
+      const CouplingFactorization factor(k2, n);
+      EXPECT_EQ(factor.Solve(rhs),
+                SolveTridiagonal(CouplingAsGeneralSystem(k2, rhs)))
+          << "k2=" << k2 << " n=" << n;
+    }
+  }
+}
+
+TEST(CouplingFactorization, SolveAtMatchesFullSolveForEveryRow) {
+  for (const double k2 : {0.0, 0.03, 0.2}) {
+    for (const std::size_t n : {1u, 2u, 3u, 32u, 33u}) {
+      const auto rhs = MixedRhs(n);
+      const CouplingFactorization factor(k2, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        auto changed = rhs;
+        changed[k] = 0.05;
+        const double prefix = factor.ForwardPrefix(rhs, k);
+        EXPECT_EQ(factor.SolveAt(k, prefix, 0.05, rhs),
+                  factor.Solve(changed)[k])
+            << "k2=" << k2 << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(CouplingFactorization, RejectsMismatchedSizesAndSingularPivots) {
+  const CouplingFactorization factor(0.03, 4);
+  EXPECT_THROW(factor.Solve({1.0, 2.0}), NumericalError);
+  EXPECT_THROW(factor.ForwardPrefix({1.0, 2.0, 3.0, 4.0}, 5), NumericalError);
+  EXPECT_THROW(factor.SolveAt(4, 0.0, 1.0, {1.0, 2.0, 3.0, 4.0}),
+               NumericalError);
+  // k2 = 1 makes the second pivot 1 - k2^2 exactly zero.
+  EXPECT_THROW(CouplingFactorization(1.0, 3), NumericalError);
+  EXPECT_EQ(CouplingFactorization(0.03, 0).size(), 0u);
+}
+
 TEST(Tridiagonal, CouplingMatchesDenseSolveSmallCase) {
   // Hand-check against the explicit 2x2 inverse:
   // [1 -k2; -k2 1] v = k1*l  ->  v0 = k1*(l0 + k2*l1)/(1-k2^2)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -151,6 +152,90 @@ TEST(VrtFlipInjectorTest, OnlyVrtRowsFlipAndOnlyToLowRatio) {
     }
   }
   EXPECT_GT(low_seen, 0u);
+}
+
+/// The VRT telegraph clock as a scan over every row, drawing for each VRT
+/// row in ascending order — the reference VrtFlipInjector must reproduce.
+class FullScanVrtReference {
+ public:
+  explicit FullScanVrtReference(const retention::VrtParams& params)
+      : params_(params) {}
+
+  void Advance(double now_s, std::vector<double>& scale, Rng& rng) {
+    const std::size_t rows = scale.size();
+    if (vrt_rows_.empty()) {
+      vrt_rows_ = retention::SampleVrtRows(params_, rows, rng);
+      in_low_.assign(rows, false);
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (vrt_rows_[r]) {
+          in_low_[r] = rng.Bernoulli(params_.low_state_prob);
+          scale[r] = in_low_[r] ? params_.low_ratio : 1.0;
+        }
+      }
+      last_now_s_ = now_s;
+      return;
+    }
+    const double dt = now_s - last_now_s_;
+    last_now_s_ = now_s;
+    if (dt <= 0.0) {
+      return;
+    }
+    const double p = params_.low_state_prob;
+    const double d_low = params_.mean_dwell_s;
+    const double p_leave_low = p >= 1.0 ? 0.0 : -std::expm1(-dt / d_low);
+    double p_enter_low = 1.0;
+    if (p <= 0.0) {
+      p_enter_low = 0.0;
+    } else if (p < 1.0) {
+      p_enter_low = -std::expm1(-dt / (d_low * (1.0 - p) / p));
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (!vrt_rows_[r]) {
+        continue;
+      }
+      if (rng.Bernoulli(in_low_[r] ? p_leave_low : p_enter_low)) {
+        in_low_[r] = !in_low_[r];
+        scale[r] = in_low_[r] ? params_.low_ratio : 1.0;
+      }
+    }
+  }
+
+ private:
+  retention::VrtParams params_;
+  std::vector<bool> vrt_rows_;
+  std::vector<bool> in_low_;
+  double last_now_s_ = 0.0;
+};
+
+TEST(VrtFlipInjectorTest, MatchesFullRowScanDrawForDraw) {
+  constexpr std::size_t kRows = 1024;
+  for (const double row_fraction : {0.0, 0.02, 1.0}) {
+    for (const double low_state_prob : {0.0, 0.5, 1.0}) {
+      retention::VrtParams params;
+      params.row_fraction = row_fraction;
+      params.low_state_prob = low_state_prob;
+      params.mean_dwell_s = 0.05;  // flips within the test's horizon
+      VrtFlipInjector injector(params);
+      FullScanVrtReference reference(params);
+      FaultState state(kRows);
+      std::vector<double> expected(kRows, 1.0);
+      Rng rng(77);
+      Rng reference_rng(77);
+      for (int tick = 0; tick < 60; ++tick) {
+        // Every seventh advance repeats the previous timestamp: dt == 0
+        // must draw nothing.
+        const int step = tick % 7 == 6 ? tick - 1 : tick;
+        const double now_s = 0.01 * step;
+        injector.Advance(now_s, state, rng);
+        reference.Advance(now_s, expected, reference_rng);
+        ASSERT_EQ(state.vrt_scale(), expected)
+            << "row_fraction=" << row_fraction
+            << " low_state_prob=" << low_state_prob << " tick=" << tick;
+      }
+      // Same number of draws: the two streams are still in lock-step.
+      EXPECT_EQ(rng(), reference_rng());
+    }
+  }
 }
 
 TEST(TemperatureExcursionInjectorTest, ScalesOnlyInsideWindow) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/interpolation.hpp"
 #include "common/technology.hpp"
 #include "model/equalization.hpp"
 #include "model/postsensing.hpp"
@@ -184,6 +188,46 @@ TEST(PreSensing, TrackedCellAtHalfChargeIsNegative) {
   EXPECT_LT(pre.WorstTrackedSenseVoltage(0.5), 0.0);
 }
 
+/// The tracked-cell probe solved from scratch: neighbours follow `pattern`
+/// at index i + offset, the middle cell holds `fraction` of full charge,
+/// and the whole array goes through SenseVoltages.
+double FreshTrackedSenseVoltage(const PreSensingModel& pre,
+                                const TechnologyParams& tech,
+                                DataPattern pattern, std::size_t offset,
+                                double fraction) {
+  std::vector<double> cells(tech.columns);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i] = CellValue(pattern, i + offset) ? tech.vdd : tech.vss;
+  }
+  const std::size_t mid = tech.columns / 2;
+  cells[mid] = tech.vss + fraction * (tech.vdd - tech.vss);
+  return pre.SenseVoltages(cells)[mid];
+}
+
+TEST(PreSensing, TrackedSolveIsBitIdenticalToFullArraySolve) {
+  for (const std::size_t columns : {1u, 2u, 3u, 32u, 33u, 128u}) {
+    TechnologyParams tech = DefaultTech();
+    tech.columns = columns;
+    const PreSensingModel pre(tech);
+    for (double fraction = 0.0; fraction <= 1.0; fraction += 0.0625) {
+      double worst = std::numeric_limits<double>::max();
+      for (const DataPattern pattern : kAllDataPatterns) {
+        const double fresh =
+            FreshTrackedSenseVoltage(pre, tech, pattern, 0, fraction);
+        EXPECT_EQ(pre.TrackedSenseVoltage(pattern, fraction), fresh)
+            << "columns=" << columns << " pattern=" << PatternName(pattern)
+            << " fraction=" << fraction;
+        worst = std::min(worst, fresh);
+      }
+      worst = std::min(worst,
+                       FreshTrackedSenseVoltage(
+                           pre, tech, DataPattern::kAlternating, 1, fraction));
+      EXPECT_EQ(pre.WorstTrackedSenseVoltage(fraction), worst)
+          << "columns=" << columns << " fraction=" << fraction;
+    }
+  }
+}
+
 TEST(PreSensing, DevelopedVoltageGrowsWithTime) {
   const PreSensingModel pre(DefaultTech());
   const double vs = 0.05;
@@ -345,6 +389,26 @@ TEST(RefreshModel, RestoreCurveIsMonotone) {
   }
   EXPECT_NEAR(ys.front(), 0.0, 1e-9);
   EXPECT_NEAR(ys.back(), 1.0, 1e-9);
+}
+
+TEST(RefreshModel, CachedTauPreMatchesFreshBisection) {
+  const TechnologyParams tech = DefaultTech();
+  const RefreshModel m(tech);
+  const PreSensingModel& pre = m.presensing();
+  const double settle = m.spec().presense_settle;
+  const double t_settle =
+      BisectRoot(0.0, 60.0 * pre.Rpre() * tech.Cbl(), 1e-15,
+                 [&](double t) { return pre.U(t) - settle; });
+  EXPECT_EQ(m.TauPreSeconds(), m.WordlineDelaySeconds() + t_settle);
+}
+
+TEST(RefreshModel, CachedMinReadableFractionMatchesFreshBisection) {
+  const TechnologyParams tech = DefaultTech();
+  const RefreshModel m(tech);
+  const double fresh = BisectRoot(0.5 + 1e-6, 1.0, 1e-9, [&](double f) {
+    return m.SensingDeltaV(f) - tech.v_sense_min;
+  });
+  EXPECT_EQ(m.MinReadableFraction(), fresh);
 }
 
 TEST(RefreshModel, MinReadableFractionIsAboveHalf) {
