@@ -4,9 +4,15 @@
 // makes checkable: introducing channels/ranks/bank groups behind the
 // MemoryController API changed *no* output byte of the flat model.
 //
-// table1_accuracy embeds wall-clock durations ("29.84 ms"); those — and
-// only those — are scrubbed from both sides before comparing.  The figure
-// fixtures are fully deterministic and compare raw.
+// table1_accuracy embeds wall-clock durations ("29.84 ms", or "1.95 s" on a
+// slow or sanitized build); those — and only those — are scrubbed from both
+// sides before comparing.  The figure fixtures are fully deterministic and
+// compare raw.
+//
+// The hierarchical controller has one too: refresh_tournament on DDR4_2400
+// runs all seven policies through REFpb and 4-subarray SARP grants with
+// every command stream audited, pinned to the output of the build before
+// the controller hot path was made scan- and allocation-free.
 //
 // The fault path has its own fixture: examples/fault_campaign with all four
 // injectors on, pinned to the output of the build before the refresh-physics
@@ -64,11 +70,12 @@ std::string ReadFixture(const std::string& name) {
   return content.str();
 }
 
-/// Replaces embedded wall-clock durations ("29.84 ms", "43.2 us") with a
-/// fixed token.  Applied to both sides so the comparison stays exact on
-/// everything that is actually deterministic.
+/// Replaces embedded wall-clock durations ("29.84 ms", "43.2 us", "1.95 s")
+/// with a fixed token.  Applied to both sides so the comparison stays exact
+/// on everything that is actually deterministic.  The unit must end the
+/// word, so prose such as "ours seconds" survives.
 std::string ScrubWallClock(const std::string& text) {
-  static const std::regex kDuration("[0-9]+\\.?[0-9]* (ms|us)");
+  static const std::regex kDuration("[0-9]+\\.?[0-9]* (ms|us|s)\\b");
   return std::regex_replace(text, kDuration, "<time>");
 }
 
@@ -114,6 +121,11 @@ TEST(GoldenMaster, Table1Accuracy) {
   ExpectMatchesGolden("table1_accuracy", /*scrub=*/true);
 }
 
+TEST(GoldenMaster, RefreshTournamentDdr4) {
+  ExpectMatchesGolden("refresh_tournament", /*scrub=*/false, BenchDir(),
+                      "--preset DDR4_2400 --windows 1 --workloads 1");
+}
+
 TEST(GoldenMaster, FaultCampaignAllInjectors) {
   ExpectMatchesGolden("fault_campaign", /*scrub=*/false, ExamplesDir(),
                       "--windows 4 --temp-excursion 85 --drift 0.05 "
@@ -127,6 +139,12 @@ TEST(GoldenMaster, ScrubberOnlyTouchesDurations) {
   // unit and survive; plain numbers survive.
   EXPECT_EQ(ScrubWallClock("\"cycles\":\"29.84\",\"unit\":\"ms\""),
             "\"cycles\":\"29.84\",\"unit\":\"ms\"");
+  // Seconds, as a slow build prints the circuit column; a digit followed
+  // by a word that merely starts with "s" is not a duration.
+  EXPECT_EQ(ScrubWallClock("\"t(circuit)\":\"1.95 s\",\"n\":\"4 subarrays\""),
+            "\"t(circuit)\":\"<time>\",\"n\":\"4 subarrays\"");
+  EXPECT_EQ(ScrubWallClock("SPICE takes hours, ours seconds"),
+            "SPICE takes hours, ours seconds");
 }
 
 }  // namespace

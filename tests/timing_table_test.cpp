@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -513,6 +515,102 @@ TEST(Auditor, ViolationsAreCycleOrdered) {
   const AuditReport report = auditor.Audit(log);
   ASSERT_EQ(report.violations.size(), 2u);
   EXPECT_LT(report.violations[0].at, report.violations[1].at);
+}
+
+/// A seeded command log breaking every rule the auditor checks: a random
+/// stream dense enough that every window collides, over several subarrays
+/// (one of them a huge raw index) and all three refresh granularities,
+/// plus a zero-tRFC refresh.  Raw 64-bit generator output keeps the log
+/// identical on every standard library.
+CommandLog SeededViolationLog(const Topology& topo, std::uint64_t seed,
+                              std::size_t n) {
+  std::mt19937_64 rng(seed);
+  const std::size_t subarrays[] = {0, 1, 2, 3, std::size_t{1} << 40};
+  CommandLog log;
+  Cycles at = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    Command c;
+    at += rng() % 4;
+    c.at = at;
+    const std::uint64_t kind = rng() % 16;
+    c.kind = kind < 5    ? CommandKind::kActivate
+             : kind < 9  ? CommandKind::kRead
+             : kind < 12 ? CommandKind::kWrite
+             : kind < 15 ? CommandKind::kPrecharge
+                         : CommandKind::kRefresh;
+    c.addr.channel = rng() % topo.channels;
+    c.addr.rank = rng() % topo.ranks_per_channel;
+    c.addr.bank_group = rng() % topo.bank_groups_per_rank;
+    c.addr.bank = rng() % topo.banks_per_group;
+    c.subarray = subarrays[rng() % 5];
+    c.row = rng() % 8192;
+    if (c.kind == CommandKind::kRefresh) {
+      c.trfc = 20 + rng() % 100;
+      c.granularity = static_cast<RefreshGranularity>(rng() % 3);
+    }
+    log.Append(c);
+  }
+  Command zero;
+  zero.at = at / 2;
+  zero.kind = CommandKind::kRefresh;
+  log.Append(zero);
+  return log;
+}
+
+std::string ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(VRL_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
+TEST(Auditor, SeededViolationReportMatchesFixture) {
+  // Pinned before the auditor's state moved from ordered maps to dense
+  // per-topology arrays: the rewrite must reproduce every violation line.
+  std::string actual;
+  for (const TimingPreset preset :
+       {TimingPreset::kDdr4_2400, TimingPreset::kDdr3_1600,
+        TimingPreset::kLpddr4_3200}) {
+    const TimingTable table = MakeTimingTable(preset);
+    const AuditReport report = TimingAuditor(table).Audit(
+        SeededViolationLog(table.topology, 2024, 400));
+    actual += report.ToText(PresetName(preset));
+  }
+  const TimingTable flat =
+      MakeTimingTable(TimingPreset::kSingleBankEquivalent, 4);
+  actual += TimingAuditor(flat)
+                .Audit(SeededViolationLog(flat.topology, 7, 300))
+                .ToText("flat");
+  for (const char* rule :
+       {"rule=tRP ", "rule=tRCD ", "rule=tRAS ", "rule=tWR ", "rule=tRRD_S ",
+        "rule=tRRD_L ", "rule=tFAW ", "rule=tCCD_S ", "rule=tCCD_L ",
+        "rule=bus-overlap ", "rule=tRTRS ", "refresh busy since",
+        "bank refresh busy since", "rule=refresh-zero-trfc "}) {
+    EXPECT_NE(actual.find(rule), std::string::npos) << rule;
+  }
+  EXPECT_EQ(actual, ReadGolden("auditor_violations.txt"));
+}
+
+TEST(Auditor, HugeSubarrayIndexAuditsWithBoundedState) {
+  // Per-(bank, subarray) state is keyed by the distinct subarrays in the
+  // log, never sized by a raw index.
+  const TimingAuditor auditor(MakeTimingTable(TimingPreset::kDdr4_2400));
+  const BankAddress b{0, 1, 2, 3};
+  Command ref = Cmd(100, CommandKind::kRefresh, b, /*trfc=*/50);
+  ref.subarray = std::size_t{1} << 40;
+  Command act = Cmd(120, CommandKind::kActivate, b);
+  act.subarray = std::size_t{1} << 40;
+  Command other = Cmd(122, CommandKind::kActivate, b);
+  other.subarray = 0;
+  CommandLog log;
+  log.Append(ref);
+  log.Append(act);
+  log.Append(other);
+  const AuditReport report = auditor.Audit(log);
+  ASSERT_EQ(report.violations.size(), 2u) << report.ToText("huge");
+  EXPECT_EQ(report.violations[0].rule, "refresh-occupancy");
+  EXPECT_EQ(report.violations[1].rule, "tRRD_L");
 }
 
 TEST(Auditor, WriteAuditReportRoundTrips) {
