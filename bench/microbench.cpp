@@ -27,6 +27,7 @@
 #include "core/vrl_system.hpp"
 #include "dram/refresh_policy.hpp"
 #include "dram/scheduler.hpp"
+#include "dram/timing_table.hpp"
 #include "model/refresh_model.hpp"
 #include "retention/mprsf.hpp"
 #include "retention/profile.hpp"
@@ -264,6 +265,36 @@ BENCHMARK(BM_SimulateWindow)
     ->Args({2, 0})  // idle worst case, telemetry + tracing on
     ->Args({3, 0})  // idle worst case, + per-op lineage firehose
     ->Args({4, 0})  // idle worst case, telemetry + profiler
+    ->Unit(benchmark::kMillisecond);
+
+// The hierarchical controller path: an eighth of a window of the
+// DDR4_2400 system (32 banks over 2 ranks x 4 bank groups, ConstraintEngine
+// floors, shared channel bus) under VRL-Access, idle (arg 0: refresh ticks
+// only) and loaded with streamcluster (arg 1), telemetry off.  A separate
+// function so the BM_SimulateWindow/x/y names and their baseline keys stay
+// unchanged.
+void BM_SimulateWindowHier(benchmark::State& state) {
+  core::VrlConfig config;
+  config.ApplyPreset(dram::TimingPreset::kDdr4_2400);
+  core::VrlSystem system(config);
+  const Cycles horizon = system.HorizonForWindows(1) / 8;
+  std::vector<dram::Request> requests;
+  if (state.range(0) != 0) {
+    Rng rng(3);
+    const auto records = trace::GenerateTrace(
+        trace::SuiteWorkload("streamcluster"), system.Geometry(), horizon,
+        rng);
+    requests =
+        trace::MapToRequests(records, trace::AddressMapper(system.Geometry()));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        system.Simulate(core::PolicyKind::kVrlAccess, requests, horizon));
+  }
+}
+BENCHMARK(BM_SimulateWindowHier)
+    ->Arg(0)  // idle: refresh ticks only
+    ->Arg(1)  // loaded: streamcluster
     ->Unit(benchmark::kMillisecond);
 
 // Fleet-federation overhead (docs/OBSERVABILITY.md): the worker-side

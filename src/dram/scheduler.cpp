@@ -1,6 +1,7 @@
 #include "dram/scheduler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "dram/bank.hpp"
@@ -91,11 +92,12 @@ bool CollidesWithDemand(const RefreshOp& op, const RefreshGrantContext& ctx) {
 
 }  // namespace
 
-std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
-                                      const RefreshGrantContext& ctx,
-                                      RefreshGrantStats* stats) {
-  std::vector<RefreshOp> ops;
-  for (const RefreshProposal& proposal : policy.Propose(ctx.now, ctx.demand)) {
+void GrantRefreshes(RefreshPolicy& policy, const RefreshGrantContext& ctx,
+                    RefreshGrantBuffers& buffers, RefreshGrantStats* stats) {
+  buffers.proposals.clear();
+  buffers.ops.clear();
+  policy.Propose(ctx.now, ctx.demand, buffers.proposals);
+  for (const RefreshProposal& proposal : buffers.proposals) {
     const bool urgent = proposal.urgent || ctx.now >= proposal.deadline;
     if (stats != nullptr) {
       ++stats->proposals;
@@ -123,18 +125,26 @@ std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
       continue;
     }
     policy.OnGrant(proposal, ctx.now);
-    ops.push_back(proposal.op);
+    buffers.ops.push_back(proposal.op);
     if (stats != nullptr) {
       ++stats->granted;
       if (urgent && proposal.deadline > proposal.due) {
-        // Deadline-forced grant of a genuinely deferrable proposal (the
-        // legacy shim's deadline equals its due cycle and is not counted).
-        // A high count means the defer window never found an idle gap.
+        // Deadline-forced grant of a genuinely deferrable proposal (a
+        // pre-granted proposal's deadline equals its due cycle and is not
+        // counted).  A high count means the defer window never found an
+        // idle gap.
         ++stats->urgent_grants;
       }
     }
   }
-  return ops;
+}
+
+std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
+                                      const RefreshGrantContext& ctx,
+                                      RefreshGrantStats* stats) {
+  RefreshGrantBuffers buffers;
+  GrantRefreshes(policy, ctx, buffers, stats);
+  return std::move(buffers.ops);
 }
 
 }  // namespace vrl::dram

@@ -77,6 +77,13 @@ struct RefreshGrantContext {
   BankAddress addr;
 };
 
+/// Reusable scratch of GrantRefreshes.  The controller keeps one per run,
+/// so the per-tick propose/grant path allocates nothing once it is warm.
+struct RefreshGrantBuffers {
+  std::vector<RefreshProposal> proposals;  ///< Scratch: this tick's offers.
+  std::vector<RefreshOp> ops;  ///< Output: granted ops, in proposal order.
+};
+
 /// Phase two of the propose/grant refresh contract: asks `policy` for its
 /// proposals at `ctx.now` and grants or defers each one.
 ///
@@ -94,8 +101,14 @@ struct RefreshGrantContext {
 ///  - otherwise granted.
 ///
 /// Granted proposals reach `policy.OnGrant` (telemetry + re-arm) and their
-/// ops are returned in proposal order; deferred ones reach `policy.OnDefer`
-/// and stay outstanding inside the policy.
+/// ops replace the contents of `buffers.ops`, in proposal order; deferred
+/// ones reach `policy.OnDefer` and stay outstanding inside the policy.
+void GrantRefreshes(RefreshPolicy& policy, const RefreshGrantContext& ctx,
+                    RefreshGrantBuffers& buffers,
+                    RefreshGrantStats* stats = nullptr);
+
+/// Allocating form of the above for per-call users (fault campaign,
+/// integrity replay, tests): returns the granted ops.
 std::vector<RefreshOp> GrantRefreshes(RefreshPolicy& policy,
                                       const RefreshGrantContext& ctx,
                                       RefreshGrantStats* stats = nullptr);

@@ -321,17 +321,20 @@ TEST(RunJournaledLegs, ResumeSkipsCommittedLegs) {
     journal.Append(1, DemoLeg(1));
   }
 
-  std::vector<std::size_t> executed;
+  // Leg bodies run concurrently on pool threads, so each records into its
+  // own slot (the determinism contract's rule 1); a shared push_back here
+  // raced and corrupted the heap under a loaded parallel ctest.
+  std::vector<int> runs(5, 0);
   runtime::RunnerStats stats;
   const auto payloads = runtime::RunJournaledLegs(
       "demo", 99, 5,
       [&](std::size_t leg) {
-        executed.push_back(leg);
+        ++runs[leg];
         return DemoLeg(leg);
       },
       options, &stats);
 
-  EXPECT_EQ(executed, (std::vector<std::size_t>{2, 3, 4}));
+  EXPECT_EQ(runs, (std::vector<int>{0, 0, 1, 1, 1}));
   EXPECT_EQ(stats.resumed, 2u);
   EXPECT_EQ(stats.executed, 3u);
   ASSERT_EQ(payloads.size(), 5u);
