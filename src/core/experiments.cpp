@@ -28,10 +28,14 @@ WorkloadResult RunWorkloadInto(const VrlSystem& system,
   const telemetry::ScopedTimer workload_timer(recorder, "time.workload_run");
   const Cycles horizon = system.HorizonForWindows(options.windows);
   Rng rng(system.config().seed ^ 0xABCD'1234ULL);
-  const auto records =
-      trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
-  const trace::AddressMapper mapper(system.Geometry());
-  const auto requests = trace::MapToRequests(records, mapper);
+  // The trace records die with this lambda: only the mapped requests stay
+  // alive through the three Simulate calls below.
+  const auto requests = [&] {
+    const auto records =
+        trace::GenerateTrace(workload, system.Geometry(), horizon, rng);
+    return trace::MapToRequests(records,
+                                trace::AddressMapper(system.Geometry()));
+  }();
 
   const power::PowerModel power_model(options.energy,
                                       system.config().tech.clock_period_s);

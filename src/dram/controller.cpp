@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 
 #include "common/error.hpp"
 #include "telemetry/recorder.hpp"
@@ -107,38 +109,6 @@ TimingTable FlatTable(const TimingParams& timing, std::size_t banks) {
   return table;
 }
 
-/// Requests split per bank by a counting sort of their indices (stable, so
-/// each bank's slice stays arrival-ordered): bank b's queue is
-/// requests[order[i]] for i in [begin[b], begin[b + 1]).
-struct BankQueues {
-  std::vector<std::size_t> begin;
-  std::vector<std::uint32_t> order;
-};
-
-BankQueues SplitByBank(const std::vector<Request>& requests,
-                       std::size_t banks) {
-  if (requests.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw ConfigError("MemoryController::Run: too many requests");
-  }
-  BankQueues queues;
-  queues.begin.assign(banks + 1, 0);
-  for (const Request& r : requests) {
-    if (r.bank >= banks) {
-      throw ConfigError("MemoryController::Run: request bank out of range");
-    }
-    ++queues.begin[r.bank + 1];
-  }
-  for (std::size_t b = 0; b < banks; ++b) {
-    queues.begin[b + 1] += queues.begin[b];
-  }
-  std::vector<std::size_t> fill(queues.begin.begin(), queues.begin.end() - 1);
-  queues.order.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    queues.order[fill[requests[i].bank]++] = static_cast<std::uint32_t>(i);
-  }
-  return queues;
-}
-
 /// One bank's refresh tick, shared by both run loops.  A quiet tick —
 /// earlier than the policy's NextProposalAt — skips the virtual
 /// propose/grant call but still enforces the monotonic-`now` contract;
@@ -168,6 +138,117 @@ const std::vector<RefreshOp>& RefreshTick(RefreshPolicy& policy, Cycles now,
 
 }  // namespace
 
+/// One run's requests as contiguous, arrival-ordered per-bank queues of
+/// compact entries, with one cursor per bank.  Both run loops keep a bank's
+/// pending set — arrived, not yet serviced — as the slice [head, next) of
+/// its own queue and service the scheduler's pick in place, so no request
+/// is copied out of its queue after the split.
+struct MemoryController::BankQueues {
+  /// Decision instant of a bank with nothing to service before the limit.
+  static constexpr Cycles kIdle = ~Cycles{0};
+
+  struct Cursor {
+    QueuedRequest* head = nullptr;  ///< Oldest pending request.
+    QueuedRequest* next = nullptr;  ///< First request not yet arrived.
+    QueuedRequest* end = nullptr;   ///< End of the bank's queue.
+
+    /// When the bank next picks a request under `limit`: when it frees up,
+    /// or — with nothing pending — when its next request arrives; kIdle
+    /// when it has nothing to service before `limit`.
+    Cycles DecisionInstant(const Bank& bank, Cycles limit) const {
+      Cycles t = bank.busy_until();
+      if (head == next) {
+        if (next == end || next->arrival >= limit) {
+          return kIdle;
+        }
+        t = std::max(t, next->arrival);
+      }
+      return t;
+    }
+
+    /// Admits everything arrived by `t_decide` (and before `limit`) to the
+    /// pending slice, services the scheduler's pick and closes its gap.
+    /// Returns true when the pick was not the oldest pending request —
+    /// the scheduler reordering for row locality.
+    bool ServiceNext(SchedulerKind scheduler, Bank& bank,
+                     RefreshPolicy& policy, Cycles t_decide, Cycles limit) {
+      while (next != end && next->arrival <= t_decide &&
+             next->arrival < limit) {
+        ++next;
+      }
+      QueuedRequest* pick = head + SelectNextRequest(
+                                       scheduler, std::span(head, next), bank);
+      bank.ServiceRequest(*pick);
+      policy.OnRowAccess(pick->row);
+      const bool reordered = pick != head;
+      // The older entries move up one slot over the pick, so the slice
+      // stays arrival-ordered.
+      std::move_backward(head, pick, pick + 1);
+      ++head;
+      return reordered;
+    }
+
+    /// The refresh grant's demand view: the next request this bank will
+    /// see.  The run loops drain every pending slice before a refresh
+    /// tick, so that is the first request not yet arrived.
+    void FillDemand(DemandView& demand) const {
+      if (next != end) {
+        demand.has_next = true;
+        demand.next_arrival = next->arrival;
+        demand.next_row = next->row;
+      }
+    }
+  };
+
+  /// Validates `requests` — arrival order, bank and row ranges — and
+  /// splits them per bank (a stable counting sort) in the same pass, so a
+  /// bad request throws before any bank state changes.
+  BankQueues(const std::vector<Request>& requests, std::size_t banks,
+             std::size_t rows) {
+    std::vector<std::size_t> counts(banks, 0);
+    bool bank_out_of_range = false;
+    bool row_out_of_range = false;
+    Cycles last_arrival = 0;
+    for (const Request& r : requests) {
+      if (r.arrival < last_arrival) {
+        throw ConfigError(
+            "MemoryController::Run: requests must be arrival-sorted");
+      }
+      last_arrival = r.arrival;
+      if (r.bank >= banks) {
+        bank_out_of_range = true;
+        continue;
+      }
+      row_out_of_range |= r.row >= rows;
+      ++counts[r.bank];
+    }
+    // A fixed precedence — order, then bank, then row — whatever the
+    // positions of the bad requests in the input.
+    if (bank_out_of_range) {
+      throw ConfigError("MemoryController::Run: request bank out of range");
+    }
+    if (row_out_of_range) {
+      throw ConfigError("Bank: request row out of range");
+    }
+    // Left uninitialized: the scatter below writes every entry.
+    entries = std::make_unique_for_overwrite<QueuedRequest[]>(requests.size());
+    cursors.resize(banks);
+    QueuedRequest* start = entries.get();
+    for (std::size_t b = 0; b < banks; ++b) {
+      cursors[b].head = cursors[b].next = cursors[b].end = start;
+      start += counts[b];
+    }
+    // Each queue grows at its end, in arrival order.
+    for (const Request& r : requests) {
+      *cursors[r.bank].end++ = {r.arrival, static_cast<std::uint32_t>(r.row),
+                                r.type};
+    }
+  }
+
+  std::unique_ptr<QueuedRequest[]> entries;
+  std::vector<Cursor> cursors;  ///< One per bank.
+};
+
 MemoryController::MemoryController(std::size_t banks, std::size_t rows,
                                    const TimingParams& timing,
                                    const PolicyFactory& factory,
@@ -184,6 +265,10 @@ MemoryController::MemoryController(const TimingTable& table, std::size_t rows,
                                    std::size_t subarrays)
     : table_(table), timing_(table.core), scheduler_(scheduler) {
   table_.Validate();
+  if (rows > std::numeric_limits<std::uint32_t>::max()) {
+    // The run loops queue rows as 32-bit indices (QueuedRequest).
+    throw ConfigError("MemoryController: rows must fit a 32-bit row index");
+  }
   hierarchical_ = table_.IsHierarchical();
   const std::size_t banks = table_.topology.TotalBanks();
   banks_.reserve(banks);
@@ -229,23 +314,17 @@ void MemoryController::AttachTelemetry(telemetry::Recorder* recorder) {
 
 SimulationStats MemoryController::Run(const std::vector<Request>& requests,
                                       Cycles horizon) {
-  if (!std::is_sorted(requests.begin(), requests.end(),
-                      [](const Request& a, const Request& b) {
-                        return a.arrival < b.arrival;
-                      })) {
-    throw ConfigError("MemoryController::Run: requests must be arrival-sorted");
-  }
-  return hierarchical_ ? RunHierarchical(requests, horizon)
-                       : RunFlat(requests, horizon);
+  BankQueues queues(requests, banks_.size(), banks_.front().rows());
+  return hierarchical_ ? RunHierarchical(queues, horizon)
+                       : RunFlat(queues, horizon);
 }
 
-SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
-                                          Cycles horizon) {
+SimulationStats MemoryController::RunFlat(BankQueues& queues, Cycles horizon) {
   const telemetry::ScopedTimer run_timer(telemetry_, "time.controller_run");
-  // The service loop is only tens of nanoseconds per request, so the
-  // telemetry-gated per-request work is kept to this one accumulator;
-  // everything else exported below is a delta of the banks' always-on
-  // stats (docs/TELEMETRY.md).
+  // The service loop is only tens of nanoseconds per request, so its one
+  // per-request telemetry count is an unconditional add, exported only
+  // with telemetry; everything else exported below is a delta of the
+  // banks' always-on stats (docs/TELEMETRY.md).
   std::uint64_t reordered_picks_n = 0;
   RefreshGrantStats grant_stats;
   // Spans land on a fresh track group (one Chrome "process" per run) with
@@ -284,9 +363,7 @@ SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
     }
   }
 
-  const BankQueues queues = SplitByBank(requests, banks_.size());
   RefreshGrantBuffers grant;
-  std::vector<Request> pending;  // arrived but not yet serviced
 
   Cycles end = horizon;
 
@@ -295,42 +372,18 @@ SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
   for (std::size_t b = 0; b < banks_.size(); ++b) {
     Bank& bank = banks_[b];
     RefreshPolicy& policy = *policies_[b];
-    std::size_t qi = queues.begin[b];
-    const std::size_t qend = queues.begin[b + 1];
-    const auto queued = [&](std::size_t i) -> const Request& {
-      return requests[queues.order[i]];
-    };
-    pending.clear();
+    BankQueues::Cursor& cur = queues.cursors[b];
 
     // Services every request arriving before `limit`, letting the scheduler
     // reorder among the ones pending at each decision instant.
     const auto service_until = [&](Cycles limit) {
       while (true) {
-        // Decision instant: when the bank frees up, or — with nothing
-        // pending — when the next request arrives.
-        Cycles t_decide = bank.busy_until();
-        if (pending.empty()) {
-          if (qi >= qend || queued(qi).arrival >= limit) {
-            return;
-          }
-          t_decide = std::max(t_decide, queued(qi).arrival);
+        const Cycles t_decide = cur.DecisionInstant(bank, limit);
+        if (t_decide == BankQueues::kIdle) {
+          return;
         }
-        // Everything arrived by then competes for the slot.
-        while (qi < qend && queued(qi).arrival <= t_decide &&
-               queued(qi).arrival < limit) {
-          pending.push_back(queued(qi));
-          ++qi;
-        }
-        const std::size_t pick = SelectNextRequest(scheduler_, pending, bank);
-        bank.ServiceRequest(pending[pick]);
-        policy.OnRowAccess(pending[pick].row);
-        if (telemetry_ != nullptr) {
-          // `pending` stays arrival-ordered, so any pick other than the
-          // front is the scheduler reordering for row locality.
-          reordered_picks_n += pick != 0 ? 1 : 0;
-        }
-        pending.erase(pending.begin() +
-                      static_cast<std::ptrdiff_t>(pick));
+        reordered_picks_n +=
+            cur.ServiceNext(scheduler_, bank, policy, t_decide, limit);
       }
     };
 
@@ -345,19 +398,13 @@ SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
       }
       service_until(limit);
     };
-    // Propose/grant per refresh tick.  service_until drains `pending`
-    // completely before returning, so the queue cursor *is* the demand
-    // view: the next request this bank will see.
+    // Propose/grant per refresh tick.
     const auto collect_due = [&](Cycles now) -> const std::vector<RefreshOp>& {
       const auto context = [&] {
         RefreshGrantContext ctx;
         ctx.now = now;
         ctx.demand.now = now;
-        if (qi < qend) {
-          ctx.demand.has_next = true;
-          ctx.demand.next_arrival = queued(qi).arrival;
-          ctx.demand.next_row = queued(qi).row;
-        }
+        cur.FillDemand(ctx.demand);
         ctx.bank = &bank;
         return ctx;
       };
@@ -429,8 +476,8 @@ SimulationStats MemoryController::RunFlat(const std::vector<Request>& requests,
   return stats;
 }
 
-SimulationStats MemoryController::RunHierarchical(
-    const std::vector<Request>& requests, Cycles horizon) {
+SimulationStats MemoryController::RunHierarchical(BankQueues& queues,
+                                                  Cycles horizon) {
   const telemetry::ScopedTimer run_timer(telemetry_, "time.controller_run");
   const Topology& topo = table_.topology;
   std::uint64_t reordered_picks_n = 0;
@@ -473,20 +520,9 @@ SimulationStats MemoryController::RunHierarchical(
   const ConstraintStats engine_before = engine_->stats();
   const HierarchyActivity activity_before = engine_->activity();
 
-  const BankQueues queues = SplitByBank(requests, banks_.size());
-  const auto queued = [&](std::size_t i) -> const Request& {
-    return requests[queues.order[i]];
-  };
-  struct BankCursor {
-    std::size_t qi = 0;            // next queued request
-    std::size_t qend = 0;          // end of the bank's queue
-    std::vector<Request> pending;  // arrived but not yet serviced
-  };
-  std::vector<BankCursor> cursors(banks_.size());
+  std::vector<BankQueues::Cursor>& cursors = queues.cursors;
   std::vector<BankAddress> addrs(banks_.size());
   for (std::size_t b = 0; b < banks_.size(); ++b) {
-    cursors[b].qi = queues.begin[b];
-    cursors[b].qend = queues.begin[b + 1];
     addrs[b] = DecomposeBank(topo, b);
   }
 
@@ -501,25 +537,10 @@ SimulationStats MemoryController::RunHierarchical(
     }
   }
 
-  // A bank's decision instant under `limit`: when it frees up, or — with
-  // nothing pending — when its next request arrives; kIdle when it has
-  // nothing to service before `limit`.
-  constexpr Cycles kIdle = ~Cycles{0};
-  const auto decision_instant = [&](std::size_t b, Cycles limit) {
-    const BankCursor& cur = cursors[b];
-    Cycles t = banks_[b].busy_until();
-    if (cur.pending.empty()) {
-      if (cur.qi >= cur.qend || queued(cur.qi).arrival >= limit) {
-        return kIdle;
-      }
-      t = std::max(t, queued(cur.qi).arrival);
-    }
-    return t;
-  };
   // One decision instant per bank.  Servicing a bank moves only its own
   // instant, so after the per-call refresh (refresh ticks move busy_until)
   // only the serviced bank's entry is recomputed.
-  std::vector<Cycles> instants(banks_.size(), kIdle);
+  std::vector<Cycles> instants(banks_.size(), BankQueues::kIdle);
 
   // Services every request arriving before `limit`, interleaving the banks
   // globally: each step picks the bank with the earliest decision instant
@@ -527,7 +548,7 @@ SimulationStats MemoryController::RunHierarchical(
   // approximate issue order and its conservative floors apply.
   const auto service_until = [&](Cycles limit) {
     for (std::size_t b = 0; b < banks_.size(); ++b) {
-      instants[b] = decision_instant(b, limit);
+      instants[b] = cursors[b].DecisionInstant(banks_[b], limit);
     }
     while (true) {
       std::size_t pick_bank = 0;
@@ -537,27 +558,15 @@ SimulationStats MemoryController::RunHierarchical(
         }
       }
       const Cycles t_decide = instants[pick_bank];
-      if (t_decide == kIdle) {
+      if (t_decide == BankQueues::kIdle) {
         return;
       }
+      BankQueues::Cursor& cur = cursors[pick_bank];
       Bank& bank = banks_[pick_bank];
-      BankCursor& cur = cursors[pick_bank];
-      // Everything arrived by the decision instant competes for the slot.
-      while (cur.qi < cur.qend && queued(cur.qi).arrival <= t_decide &&
-             queued(cur.qi).arrival < limit) {
-        cur.pending.push_back(queued(cur.qi));
-        ++cur.qi;
-      }
-      const std::size_t pick =
-          SelectNextRequest(scheduler_, cur.pending, bank);
-      bank.ServiceRequest(cur.pending[pick]);
-      policies_[pick_bank]->OnRowAccess(cur.pending[pick].row);
-      if (telemetry_ != nullptr) {
-        reordered_picks_n += pick != 0 ? 1 : 0;
-      }
-      cur.pending.erase(cur.pending.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
-      instants[pick_bank] = decision_instant(pick_bank, limit);
+      reordered_picks_n += cur.ServiceNext(scheduler_, bank,
+                                           *policies_[pick_bank], t_decide,
+                                           limit);
+      instants[pick_bank] = cur.DecisionInstant(bank, limit);
     }
   };
   const auto run_service_until = [&](Cycles limit) {
@@ -569,10 +578,9 @@ SimulationStats MemoryController::RunHierarchical(
     }
     service_until(limit);
   };
-  // Propose/grant per (bank, tick).  service_until drains every bank's
-  // `pending` before returning, so each bank's queue cursor is its demand
-  // view; the constraint engine joins the context so non-urgent REFpb
-  // proposals defer instead of stalling in the rank's ACT windows.
+  // Propose/grant per (bank, tick).  The constraint engine joins the
+  // context so non-urgent REFpb proposals defer instead of stalling in the
+  // rank's ACT windows.
   RefreshGrantBuffers grant;
   const auto collect_due = [&](std::size_t b,
                                Cycles now) -> const std::vector<RefreshOp>& {
@@ -580,12 +588,7 @@ SimulationStats MemoryController::RunHierarchical(
       RefreshGrantContext ctx;
       ctx.now = now;
       ctx.demand.now = now;
-      const BankCursor& cur = cursors[b];
-      if (cur.qi < cur.qend) {
-        ctx.demand.has_next = true;
-        ctx.demand.next_arrival = queued(cur.qi).arrival;
-        ctx.demand.next_row = queued(cur.qi).row;
-      }
+      cursors[b].FillDemand(ctx.demand);
       ctx.bank = &banks_[b];
       ctx.engine = engine_.get();
       ctx.addr = addrs[b];

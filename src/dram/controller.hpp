@@ -118,10 +118,11 @@ class MemoryController {
   const ConstraintEngine* constraint_engine() const { return engine_.get(); }
 
  private:
-  SimulationStats RunFlat(const std::vector<Request>& requests,
-                          Cycles horizon);
-  SimulationStats RunHierarchical(const std::vector<Request>& requests,
-                                  Cycles horizon);
+  /// One run's validated per-bank request queues (controller.cpp); both
+  /// run loops consume them.
+  struct BankQueues;
+  SimulationStats RunFlat(BankQueues& queues, Cycles horizon);
+  SimulationStats RunHierarchical(BankQueues& queues, Cycles horizon);
   /// Per-run phase costs under --profile: sampled 1-in-N wall clock with
   /// exact call counts (prof::PhaseAccumulator), plus the unsampled
   /// telemetry-flush time.

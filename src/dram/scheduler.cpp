@@ -34,27 +34,14 @@ SchedulerKind SchedulerFromName(std::string_view name) {
                     std::string(name) + "' (expected one of: " + known + ")");
 }
 
-std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
-                              std::optional<std::size_t> open_row) {
-  if (pending.empty()) {
-    throw ConfigError("SelectNextRequest: no pending requests");
-  }
-  if (kind == SchedulerKind::kFcfs || !open_row.has_value()) {
-    return 0;  // oldest
-  }
-  // FR-FCFS: oldest row hit, else oldest overall.
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (pending[i].row == *open_row) {
-      return i;
-    }
-  }
-  return 0;
-}
+namespace {
 
-std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
-                              const Bank& bank) {
+/// The one FR-FCFS pick behind every SelectNextRequest overload: the index
+/// of the first pending entry whose row `is_open`, else 0 (the oldest).
+/// FCFS always takes the oldest.
+template <typename Entry, typename IsOpen>
+std::size_t PickNext(SchedulerKind kind, std::span<const Entry> pending,
+                     const IsOpen& is_open) {
   if (pending.empty()) {
     throw ConfigError("SelectNextRequest: no pending requests");
   }
@@ -62,11 +49,36 @@ std::size_t SelectNextRequest(SchedulerKind kind,
     return 0;
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (bank.IsRowOpen(pending[i].row)) {
+    if (is_open(pending[i].row)) {
       return i;
     }
   }
   return 0;
+}
+
+}  // namespace
+
+std::size_t SelectNextRequest(SchedulerKind kind,
+                              std::span<const QueuedRequest> pending,
+                              const Bank& bank) {
+  return PickNext(kind, pending,
+                  [&](std::size_t row) { return bank.IsRowOpen(row); });
+}
+
+std::size_t SelectNextRequest(SchedulerKind kind,
+                              const std::vector<Request>& pending,
+                              std::optional<std::size_t> open_row) {
+  // No open row: nothing is "ready", so FR-FCFS degenerates to FCFS.
+  return PickNext(open_row.has_value() ? kind : SchedulerKind::kFcfs,
+                  std::span<const Request>(pending),
+                  [&](std::size_t row) { return row == *open_row; });
+}
+
+std::size_t SelectNextRequest(SchedulerKind kind,
+                              const std::vector<Request>& pending,
+                              const Bank& bank) {
+  return PickNext(kind, std::span<const Request>(pending),
+                  [&](std::size_t row) { return bank.IsRowOpen(row); });
 }
 
 namespace {

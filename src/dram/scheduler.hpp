@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,14 +41,23 @@ std::string SchedulerName(SchedulerKind kind);
 /// parse).  \throws vrl::ConfigError on an unknown name.
 SchedulerKind SchedulerFromName(std::string_view name);
 
-/// Picks the index of the next request to service from `pending`
-/// (non-empty, ordered by arrival) given the bank's open row.
+/// Picks the next request to service from one bank's `pending` slice
+/// (non-empty, ordered by arrival) and returns its index in the slice: the
+/// oldest under FCFS; under FR-FCFS the oldest whose row is open in one of
+/// the bank's row buffers (banks with several subarrays have one each),
+/// else the oldest.  The controller's run loops call this form on their
+/// per-bank queues; the overloads below wrap it.
+std::size_t SelectNextRequest(SchedulerKind kind,
+                              std::span<const QueuedRequest> pending,
+                              const Bank& bank);
+
+/// The same pick over a vector of requests, given the bank's open row.
 std::size_t SelectNextRequest(SchedulerKind kind,
                               const std::vector<Request>& pending,
                               std::optional<std::size_t> open_row);
 
-/// Overload consulting the bank's row buffers directly (covers banks with
-/// multiple subarrays, each with its own open row).
+/// The same pick over a vector of requests, consulting the bank's row
+/// buffers.
 std::size_t SelectNextRequest(SchedulerKind kind,
                               const std::vector<Request>& pending,
                               const Bank& bank);

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "dram/bank.hpp"
 #include "dram/controller.hpp"
 #include "dram/refresh_policy.hpp"
 #include "dram/timing.hpp"
+#include "dram/timing_table.hpp"
 #include "retention/profile.hpp"
 
 namespace vrl::dram {
@@ -542,21 +545,150 @@ TEST(Controller, ServicesAllRequests) {
   EXPECT_GT(stats.AverageRequestLatency(), 0.0);
 }
 
-TEST(Controller, RejectsUnsortedRequests) {
+/// 100 arrival-sorted requests over two banks and 16 rows, spanning five
+/// refresh ticks of FastTiming.
+std::vector<Request> CleanRequests() {
+  std::vector<Request> requests;
+  for (int i = 0; i < 100; ++i) {
+    Request r;
+    r.arrival = static_cast<Cycles>(i * 50);
+    r.bank = static_cast<std::size_t>(i % 2);
+    r.row = static_cast<std::size_t>(i % 16);
+    r.type = i % 3 == 0 ? RequestType::kWrite : RequestType::kRead;
+    requests.push_back(r);
+  }
+  return requests;
+}
+
+/// Run() must reject `requests` with a ConfigError carrying `message`
+/// before any bank state changes: no command reaches the log, and a clean
+/// run of the same controller afterwards matches a fresh controller's.
+/// `make` builds a controller over at least two banks of 16 rows.
+template <typename MakeController>
+void ExpectRejectedUpFront(const MakeController& make,
+                           const std::vector<Request>& requests,
+                           const std::string& message, Cycles horizon) {
+  MemoryController controller = make();
+  CommandLog log;
+  controller.EnableAudit(log);
+  try {
+    controller.Run(requests, horizon);
+    ADD_FAILURE() << "no ConfigError; expected: " << message;
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+  EXPECT_EQ(log.size(), 0u) << message;
+
+  const std::vector<Request> clean = CleanRequests();
+  const SimulationStats after = controller.Run(clean, horizon);
+  MemoryController fresh_controller = make();
+  const SimulationStats fresh = fresh_controller.Run(clean, horizon);
+  EXPECT_EQ(after.simulated_cycles, fresh.simulated_cycles) << message;
+  ASSERT_EQ(after.per_bank.size(), fresh.per_bank.size()) << message;
+  for (std::size_t b = 0; b < fresh.per_bank.size(); ++b) {
+    const BankStats& x = after.per_bank[b];
+    const BankStats& y = fresh.per_bank[b];
+    EXPECT_EQ(x.reads, y.reads) << message << " bank " << b;
+    EXPECT_EQ(x.writes, y.writes) << message << " bank " << b;
+    EXPECT_EQ(x.row_hits, y.row_hits) << message << " bank " << b;
+    EXPECT_EQ(x.activations, y.activations) << message << " bank " << b;
+    EXPECT_EQ(x.full_refreshes, y.full_refreshes) << message << " bank " << b;
+    EXPECT_EQ(x.refresh_busy_cycles, y.refresh_busy_cycles)
+        << message << " bank " << b;
+    EXPECT_EQ(x.total_request_latency, y.total_request_latency)
+        << message << " bank " << b;
+    EXPECT_EQ(x.last_completion, y.last_completion)
+        << message << " bank " << b;
+  }
+}
+
+/// A clean stream whose request 80 — after many serviceable requests and
+/// refresh ticks — is made bad by `spoil`.
+template <typename Spoil>
+std::vector<Request> SpoiledRequests(const Spoil& spoil) {
+  std::vector<Request> requests = CleanRequests();
+  spoil(requests[80]);
+  return requests;
+}
+
+constexpr const char* kUnsortedMessage =
+    "MemoryController::Run: requests must be arrival-sorted";
+constexpr const char* kBankMessage =
+    "MemoryController::Run: request bank out of range";
+constexpr const char* kRowMessage = "Bank: request row out of range";
+
+MemoryController FlatTwoBanks() {
   const TimingParams t = FastTiming();
-  MemoryController controller(1, 16, t, JedecFactory(16, t.t_refw, 26));
-  std::vector<Request> requests(2);
-  requests[0].arrival = 100;
-  requests[1].arrival = 50;
-  EXPECT_THROW(controller.Run(requests, 1000), ConfigError);
+  return MemoryController(2, 16, t, JedecFactory(16, t.t_refw, 26));
+}
+
+TEST(Controller, RejectsUnsortedRequests) {
+  const auto unsorted =
+      SpoiledRequests([](Request& r) { r.arrival = 10; });
+  ExpectRejectedUpFront(FlatTwoBanks, unsorted, kUnsortedMessage,
+                        2 * FastTiming().t_refw);
 }
 
 TEST(Controller, RejectsOutOfRangeBank) {
+  const auto bad_bank = SpoiledRequests([](Request& r) { r.bank = 5; });
+  ExpectRejectedUpFront(FlatTwoBanks, bad_bank, kBankMessage,
+                        2 * FastTiming().t_refw);
+}
+
+TEST(Controller, RejectsOutOfRangeRowBeforeServicing) {
+  const auto bad_row = SpoiledRequests([](Request& r) { r.row = 16; });
+  ExpectRejectedUpFront(FlatTwoBanks, bad_row, kRowMessage,
+                        2 * FastTiming().t_refw);
+}
+
+TEST(Controller, ReportsViolationsInCheckOrder) {
+  // Whatever the positions of the bad requests, the error follows one
+  // precedence: order, then bank, then row.
+  auto mixed = CleanRequests();
+  mixed[20].row = 16;
+  mixed[40].bank = 5;
+  mixed[60].arrival = 10;
+  ExpectRejectedUpFront(FlatTwoBanks, mixed, kUnsortedMessage,
+                        2 * FastTiming().t_refw);
+  mixed[60].arrival = 3000;
+  ExpectRejectedUpFront(FlatTwoBanks, mixed, kBankMessage,
+                        2 * FastTiming().t_refw);
+}
+
+TEST(Controller, HierarchicalRunRejectsUpFront) {
+  const TimingTable table = MakeTimingTable(TimingPreset::kDdr3_1600);
+  ASSERT_TRUE(table.IsHierarchical());
+  const auto make = [&] {
+    return MemoryController(table, 16,
+                            JedecFactory(16, table.core.t_refw, 26));
+  };
+  const Cycles horizon = 4 * table.core.t_refi;
+  ExpectRejectedUpFront(make,
+                        SpoiledRequests([](Request& r) { r.arrival = 10; }),
+                        kUnsortedMessage, horizon);
+  ExpectRejectedUpFront(make, SpoiledRequests([](Request& r) { r.bank = 99; }),
+                        kBankMessage, horizon);
+  ExpectRejectedUpFront(make, SpoiledRequests([](Request& r) { r.row = 16; }),
+                        kRowMessage, horizon);
+}
+
+TEST(Controller, RejectsRowsBeyond32BitIndex) {
+  // Queued requests carry 32-bit rows; a wider bank must not truncate.
   const TimingParams t = FastTiming();
-  MemoryController controller(1, 16, t, JedecFactory(16, t.t_refw, 26));
-  std::vector<Request> requests(1);
-  requests[0].bank = 5;
-  EXPECT_THROW(controller.Run(requests, 1000), ConfigError);
+  bool factory_called = false;
+  const PolicyFactory factory = [&]() -> std::unique_ptr<RefreshPolicy> {
+    factory_called = true;
+    return nullptr;
+  };
+  const std::size_t rows = std::size_t{1} << 32;
+  try {
+    MemoryController controller(1, rows, t, factory);
+    ADD_FAILURE() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "MemoryController: rows must fit a 32-bit row index");
+  }
+  EXPECT_FALSE(factory_called);
 }
 
 TEST(Controller, RejectsBadFactory) {

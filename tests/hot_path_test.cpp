@@ -1,10 +1,14 @@
 // Equivalence tests of the controller hot path against in-test references.
 //
-// The run loops keep a per-bank decision-instant array, reuse their
+// The run loops service each bank's pending requests in place in a
+// per-run queue, keep a per-bank decision-instant array, reuse their
 // propose/grant buffers, skip the policy call on quiet ticks and share one
 // initial deadline schedule across the banks of a plan.  None of that may
 // change a simulated statistic or command, so each mechanism is pinned here
 // against the straightforward form it replaced:
+//  - MemoryController::Run on a flat table against a reference loop
+//    written below that keeps a `pending` vector per bank and erases each
+//    pick from it, under both schedulers and both page policies;
 //  - MemoryController::Run on a hierarchical table against a reference
 //    loop written below that rescans every bank for every request and
 //    builds every policy from scratch;
@@ -85,7 +89,81 @@ struct ReferenceRun {
   std::vector<dram::BankStats> per_bank;
   Cycles end = 0;
   dram::CommandLog log;
+  std::uint64_t reordered_picks = 0;  ///< Picks other than the oldest.
+  std::size_t max_pending = 0;        ///< Deepest pending set (flat only).
 };
+
+/// The flat run loop in its plain form: bank by bank, a `pending` vector
+/// fed from the bank's own copy of its requests, SelectNextRequest over it
+/// and an erase of the pick; a fresh policy per bank and the allocating
+/// GrantRefreshes on every tick.
+ReferenceRun ReferenceFlat(const dram::TimingParams& timing, std::size_t banks,
+                           std::size_t rows, const dram::PolicyFactory& factory,
+                           dram::SchedulerKind scheduler,
+                           dram::RowBufferPolicy page_policy,
+                           std::size_t subarrays,
+                           const std::vector<dram::Request>& requests,
+                           Cycles horizon) {
+  const dram::Topology topo{1, 1, 1, banks};
+  ReferenceRun run;
+  run.end = horizon;
+  for (std::size_t b = 0; b < banks; ++b) {
+    dram::Bank bank(rows, timing, page_policy, subarrays);
+    bank.SetAudit(&run.log, dram::DecomposeBank(topo, b));
+    const std::unique_ptr<dram::RefreshPolicy> policy = factory();
+    std::vector<dram::Request> queue;
+    for (const dram::Request& r : requests) {
+      if (r.bank == b) {
+        queue.push_back(r);
+      }
+    }
+    std::size_t qi = 0;
+    std::vector<dram::Request> pending;
+
+    const auto service_until = [&](Cycles limit) {
+      while (true) {
+        Cycles t_decide = bank.busy_until();
+        if (pending.empty()) {
+          if (qi >= queue.size() || queue[qi].arrival >= limit) {
+            return;
+          }
+          t_decide = std::max(t_decide, queue[qi].arrival);
+        }
+        while (qi < queue.size() && queue[qi].arrival <= t_decide &&
+               queue[qi].arrival < limit) {
+          pending.push_back(queue[qi++]);
+        }
+        run.max_pending = std::max(run.max_pending, pending.size());
+        const std::size_t pick =
+            dram::SelectNextRequest(scheduler, pending, bank);
+        bank.ServiceRequest(pending[pick]);
+        policy->OnRowAccess(pending[pick].row);
+        run.reordered_picks += pick != 0 ? 1 : 0;
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    };
+
+    for (Cycles tick = 0; tick <= horizon; tick += timing.t_refi) {
+      service_until(tick);
+      dram::RefreshGrantContext ctx;
+      ctx.now = tick;
+      ctx.demand.now = tick;
+      if (qi < queue.size()) {
+        ctx.demand.has_next = true;
+        ctx.demand.next_arrival = queue[qi].arrival;
+        ctx.demand.next_row = queue[qi].row;
+      }
+      ctx.bank = &bank;
+      for (const dram::RefreshOp& op : dram::GrantRefreshes(*policy, ctx)) {
+        bank.ExecuteRefresh(op, tick);
+      }
+    }
+    service_until(horizon + 1);
+    run.per_bank.push_back(bank.stats());
+    run.end = std::max(run.end, bank.stats().last_completion);
+  }
+  return run;
+}
 
 /// The hierarchical run loop in its plain form: every decision instant
 /// re-derived for all banks per request, a fresh policy per bank (no shared
@@ -204,6 +282,92 @@ bool SameCommand(const dram::Command& a, const dram::Command& b) {
   return a.at == b.at && a.kind == b.kind && a.addr == b.addr &&
          a.subarray == b.subarray && a.row == b.row && a.trfc == b.trfc &&
          a.granularity == b.granularity;
+}
+
+struct FlatCase {
+  dram::SchedulerKind scheduler;
+  std::size_t subarrays;
+  dram::RowBufferPolicy page_policy;
+};
+
+TEST(HotPath, FlatLoopMatchesReferencePendingVector) {
+  using dram::RowBufferPolicy;
+  using dram::SchedulerKind;
+  const FlatCase cases[] = {
+      {SchedulerKind::kFcfs, 1, RowBufferPolicy::kOpenPage},
+      {SchedulerKind::kFcfs, 1, RowBufferPolicy::kClosedPage},
+      {SchedulerKind::kFcfs, 4, RowBufferPolicy::kOpenPage},
+      {SchedulerKind::kFcfs, 4, RowBufferPolicy::kClosedPage},
+      {SchedulerKind::kFrFcfs, 1, RowBufferPolicy::kOpenPage},
+      {SchedulerKind::kFrFcfs, 1, RowBufferPolicy::kClosedPage},
+      {SchedulerKind::kFrFcfs, 4, RowBufferPolicy::kOpenPage},
+      {SchedulerKind::kFrFcfs, 4, RowBufferPolicy::kClosedPage},
+  };
+  std::uint64_t seed = 41;
+  for (const FlatCase& fc : cases) {
+    core::VrlConfig config;
+    config.tech.rows = 256;
+    // Two banks share the random stream, so pending sets grow deep enough
+    // for picks from the middle of a slice.
+    config.banks = 2;
+    config.scheduler = fc.scheduler;
+    config.subarrays = fc.subarrays;
+    config.page_policy = fc.page_policy;
+    const core::VrlSystem system(config);
+    ASSERT_FALSE(config.TimingTableFor().IsHierarchical());
+    const Cycles horizon = config.timing.t_refw / 16;
+    const auto requests =
+        RandomRequests(config.banks, config.tech.rows, horizon, ++seed);
+    // Summed over the policies: VRL-Skip may skip every refresh of a
+    // window this busy.
+    std::size_t refreshes = 0;
+    for (const core::PolicyKind kind : kAllKinds) {
+      const std::string where =
+          dram::SchedulerName(fc.scheduler) + "/sa" +
+          std::to_string(fc.subarrays) +
+          (fc.page_policy == RowBufferPolicy::kOpenPage ? "/open/"
+                                                        : "/closed/") +
+          core::PolicyName(kind);
+      const dram::PolicyFactory factory = system.MakePolicyFactory(kind);
+      dram::MemoryController controller(config.banks, config.tech.rows,
+                                        config.timing, factory, fc.scheduler,
+                                        fc.page_policy, fc.subarrays);
+      ASSERT_FALSE(controller.hierarchical()) << where;
+      telemetry::Recorder recorder;
+      controller.AttachTelemetry(&recorder);
+      dram::CommandLog log;
+      controller.EnableAudit(log);
+      const dram::SimulationStats stats = controller.Run(requests, horizon);
+
+      const ReferenceRun ref = ReferenceFlat(
+          config.timing, config.banks, config.tech.rows, factory,
+          fc.scheduler, fc.page_policy, fc.subarrays, requests, horizon);
+      EXPECT_EQ(stats.simulated_cycles, ref.end) << where;
+      ASSERT_EQ(stats.per_bank.size(), ref.per_bank.size()) << where;
+      for (std::size_t b = 0; b < ref.per_bank.size(); ++b) {
+        ExpectSameStats(stats.per_bank[b], ref.per_bank[b],
+                        where + " bank " + std::to_string(b));
+      }
+      ASSERT_EQ(log.size(), ref.log.size()) << where;
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        ASSERT_TRUE(SameCommand(log.commands()[i], ref.log.commands()[i]))
+            << where << " command " << i;
+      }
+      EXPECT_EQ(recorder.counter("scheduler.reordered_picks").value(),
+                ref.reordered_picks)
+          << where;
+      EXPECT_GT(stats.TotalReads() + stats.TotalWrites(), 0u) << where;
+      refreshes += stats.TotalFullRefreshes() + stats.TotalPartialRefreshes();
+      // The demand must queue deep enough for FR-FCFS to pick from the
+      // middle of a pending set, or the in-place removal goes untested.
+      EXPECT_GE(ref.max_pending, 3u) << where;
+      if (fc.scheduler == SchedulerKind::kFrFcfs &&
+          fc.page_policy == RowBufferPolicy::kOpenPage) {
+        EXPECT_GT(ref.reordered_picks, 0u) << where;
+      }
+    }
+    EXPECT_GT(refreshes, 0u);
+  }
 }
 
 struct HierCase {

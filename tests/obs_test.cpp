@@ -37,6 +37,7 @@
 #include "runtime/runner.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/trace_export.hpp"
+#include "temp_path.hpp"
 
 namespace vrl::obs {
 namespace {
@@ -48,9 +49,7 @@ using telemetry::MetricValue;
 
 // -- Helpers ------------------------------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + name;
-}
+using vrl::test::TempPath;
 
 /// Body of an HTTP response (everything past the blank line).
 std::string BodyOf(const std::string& response) {

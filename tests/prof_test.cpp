@@ -30,15 +30,14 @@
 #include "prof/report.hpp"
 #include "retention/vrt.hpp"
 #include "telemetry/recorder.hpp"
+#include "temp_path.hpp"
 
 namespace vrl::prof {
 namespace {
 
 // -- Helpers ------------------------------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + name;
-}
+using vrl::test::TempPath;
 
 std::string JsonOf(const Profiler& profiler, bool scrub = true) {
   std::ostringstream os;

@@ -32,14 +32,13 @@
 #include "runtime/runner.hpp"
 #include "runtime/supervisor.hpp"
 #include "telemetry/recorder.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
 using namespace vrl;
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + name;
-}
+using vrl::test::TempPath;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream is(path);

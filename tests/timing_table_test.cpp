@@ -17,6 +17,7 @@
 #include "dram/auditor.hpp"
 #include "dram/timing_table.hpp"
 #include "dram/topology.hpp"
+#include "temp_path.hpp"
 
 namespace vrl::dram {
 namespace {
@@ -616,7 +617,7 @@ TEST(Auditor, HugeSubarrayIndexAuditsWithBoundedState) {
 TEST(Auditor, WriteAuditReportRoundTrips) {
   AuditReport report;
   report.commands_checked = 5;
-  const std::string path = ::testing::TempDir() + "/vrl_audit_roundtrip.log";
+  const std::string path = test::TempPath("vrl_audit_roundtrip.log");
   WriteAuditReport(report, "DDR3_1600", path);
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in);

@@ -8,6 +8,7 @@
 #include "trace/io.hpp"
 #include "trace/stats.hpp"
 #include "trace/synthetic.hpp"
+#include "temp_path.hpp"
 
 namespace vrl::trace {
 namespace {
@@ -193,7 +194,7 @@ TEST(TraceIo, RamulatorImportSkipsComments) {
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const std::string path = "/tmp/vrl_trace_test.txt";
+  const std::string path = test::TempPath("vrl_trace_test.txt");
   WriteTextFile(path, SampleRecords());
   const auto back = ReadTextFile(path);
   EXPECT_EQ(back.size(), 3u);
