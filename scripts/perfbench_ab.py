@@ -13,12 +13,21 @@ run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 result.
 
 The metrics compared are the end-to-end metrics that BASE's
-BENCHMARK.json declares (name and "better" direction), or every metric
-in the results when BASE has none.  Per pair it prints each metric on
-both sides and the NEW/BASE ratio; per workload and metric it then prints
-the pairs NEW won, the median paired change, each side's median and
-quartiles, and BASE's interquartile range (a gain smaller than that
-spread is noise).
+BENCHMARK.json declares (name, "better" direction and relative "bound"),
+or every metric in the results when BASE has none.  Per pair it prints
+each metric on both sides and the NEW/BASE ratio; per workload and metric
+it then prints the pairs NEW won, the median paired change, each side's
+median and quartiles, BASE's interquartile range (IQR), and one verdict:
+
+  gain        NEW won at least 9/10 of the pairs (ties count for neither)
+              and its median is better than BASE's by more than BASE's IQR;
+  regression  NEW's median is worse than BASE's by more than the bound;
+  unresolved  BASE's IQR/median is wider than the bound and not every NEW
+              run beats every BASE run;
+  no change   otherwise.
+
+The first rule that holds is the verdict.  A metric without a bound can
+only read gain or no change.
 
 Exit code: 0 when every run produced a result with ``correct: true`` and
 no failed operation, 1 otherwise (a failed run, a missing result or a
@@ -34,12 +43,13 @@ from pathlib import Path
 
 
 def end_to_end_metrics(checkout):
-    """{name: better} from the checkout's BENCHMARK.json, or None."""
+    """{name: (better, bound or None)} from the checkout's BENCHMARK.json,
+    or None."""
     path = Path(checkout) / "BENCHMARK.json"
     if not path.is_file():
         return None
     doc = json.loads(path.read_text())
-    return {m["name"]: m.get("better", "lower")
+    return {m["name"]: (m.get("better", "lower"), m.get("bound"))
             for m in doc.get("end_to_end", [])}
 
 
@@ -66,6 +76,33 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def beats(value, other, better):
+    """Whether `value` is strictly better than `other`."""
+    return value < other if better == "lower" else value > other
+
+
+def verdict(base, new, better, bound):
+    """One metric's verdict from its paired BASE and NEW values (pair i of
+    each list is one seed); see the module docstring for the rules."""
+    wins = sum(1 for b, n in zip(base, new) if beats(n, b, better))
+    base_q1, base_median, base_q3 = quartiles(base)
+    new_median = quartiles(new)[1]
+    iqr = base_q3 - base_q1
+    shift = abs(new_median - base_median)
+    if (wins * 10 >= 9 * len(base)
+            and beats(new_median, base_median, better) and shift > iqr):
+        return "gain"
+    if bound is None or base_median == 0:
+        return "no change"
+    if (beats(base_median, new_median, better)
+            and shift / abs(base_median) > bound):
+        return "regression"
+    if (iqr / abs(base_median) > bound
+            and not all(beats(n, b, better) for b in base for n in new)):
+        return "unresolved"
+    return "no change"
 
 
 def check_result(side, result):
@@ -128,10 +165,11 @@ def main(argv=None):
             continue
         metrics = declared
         if metrics is None:
-            metrics = {name: "lower" for name in pairs[0][1]["metrics"]}
+            metrics = {name: ("lower", None)
+                       for name in pairs[0][1]["metrics"]}
         print(f"== {workload}: {len(pairs)} pairs "
               f"(even pairs ran base first, odd pairs new first)")
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             rows = [(seed, b["metrics"][name]["value"],
                      n["metrics"][name]["value"])
                     for seed, b, n in pairs
@@ -142,11 +180,12 @@ def main(argv=None):
                 ratio = new_value / base_value if base_value else float("nan")
                 print(f"  {name:12s} seed {seed:>3}: base {base_value:10.4f}"
                       f"  new {new_value:10.4f}  new/base {ratio:6.3f}")
-            wins = sum(1 for _, b, n in rows
-                       if (n < b if better == "lower" else n > b))
+            base_values = [b for _, b, _ in rows]
+            new_values = [n for _, _, n in rows]
+            wins = sum(1 for _, b, n in rows if beats(n, b, better))
             changes = [(n - b) / b * 100.0 for _, b, n in rows if b]
-            base_q = quartiles([b for _, b, _ in rows])
-            new_q = quartiles([n for _, _, n in rows])
+            base_q = quartiles(base_values)
+            new_q = quartiles(new_values)
             median_change = statistics.median(changes) if changes else 0.0
             print(f"  {name:12s} new won {wins}/{len(rows)}; median change "
                   f"{median_change:+.1f}%; base median {base_q[1]:.4f} "
@@ -154,6 +193,8 @@ def main(argv=None):
                   f"IQR {base_q[2] - base_q[0]:.4f}; new median "
                   f"{new_q[1]:.4f} [{new_q[0]:.4f}, {new_q[2]:.4f}] "
                   f"(better: {better})")
+            print(f"  {name:12s} verdict: "
+                  f"{verdict(base_values, new_values, better, bound)}")
     return 0 if ok else 1
 
 

@@ -154,14 +154,6 @@ Cycles Bank::ServiceRequest(const Request& request) {
   return completion;
 }
 
-Cycles Bank::ServiceRequest(const QueuedRequest& request) {
-  Request full;
-  full.arrival = request.arrival;
-  full.row = request.row;
-  full.type = request.type;
-  return ServiceRequest(full);
-}
-
 Cycles Bank::ExecuteRefresh(const RefreshOp& op, Cycles now) {
   if (op.row >= rows_) {
     throw ConfigError("Bank: refresh row out of range");

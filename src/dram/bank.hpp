@@ -76,8 +76,6 @@ class Bank {
   /// earlier than its subarray's busy horizon.  Returns the completion
   /// cycle.
   Cycles ServiceRequest(const Request& request);
-  /// The same, for an entry of the controller's per-bank queues.
-  Cycles ServiceRequest(const QueuedRequest& request);
 
   /// Executes one refresh operation at or after `now`; returns completion.
   /// What it blocks follows the op's granularity: kSubarray occupies only

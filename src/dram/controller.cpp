@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <new>
 #include <span>
 
 #include "common/error.hpp"
@@ -138,19 +139,19 @@ const std::vector<RefreshOp>& RefreshTick(RefreshPolicy& policy, Cycles now,
 
 }  // namespace
 
-/// One run's requests as contiguous, arrival-ordered per-bank queues of
-/// compact entries, with one cursor per bank.  Both run loops keep a bank's
-/// pending set — arrived, not yet serviced — as the slice [head, next) of
-/// its own queue and service the scheduler's pick in place, so no request
-/// is copied out of its queue after the split.
+/// One run's requests as contiguous, arrival-ordered per-bank queues, with
+/// one cursor per bank.  Both run loops keep a bank's pending set —
+/// arrived, not yet serviced — as the slice [head, next) of its own queue
+/// and service the scheduler's pick in place, so no request is copied out
+/// of its queue after the split.
 struct MemoryController::BankQueues {
   /// Decision instant of a bank with nothing to service before the limit.
   static constexpr Cycles kIdle = ~Cycles{0};
 
   struct Cursor {
-    QueuedRequest* head = nullptr;  ///< Oldest pending request.
-    QueuedRequest* next = nullptr;  ///< First request not yet arrived.
-    QueuedRequest* end = nullptr;   ///< End of the bank's queue.
+    Request* head = nullptr;  ///< Oldest pending request.
+    Request* next = nullptr;  ///< First request not yet arrived.
+    Request* end = nullptr;   ///< End of the bank's queue.
 
     /// When the bank next picks a request under `limit`: when it frees up,
     /// or — with nothing pending — when its next request arrives; kIdle
@@ -176,8 +177,8 @@ struct MemoryController::BankQueues {
              next->arrival < limit) {
         ++next;
       }
-      QueuedRequest* pick = head + SelectNextRequest(
-                                       scheduler, std::span(head, next), bank);
+      Request* pick = head + SelectNextRequest(
+                                 scheduler, std::span(head, next), bank);
       bank.ServiceRequest(*pick);
       policy.OnRowAccess(pick->row);
       const bool reordered = pick != head;
@@ -230,22 +231,26 @@ struct MemoryController::BankQueues {
     if (row_out_of_range) {
       throw ConfigError("Bank: request row out of range");
     }
-    // Left uninitialized: the scatter below writes every entry.
-    entries = std::make_unique_for_overwrite<QueuedRequest[]>(requests.size());
+    // Raw storage, not zeroed: the scatter below constructs every entry.
+    entries.reset(static_cast<Request*>(
+        ::operator new(requests.size() * sizeof(Request))));
     cursors.resize(banks);
-    QueuedRequest* start = entries.get();
+    Request* start = entries.get();
     for (std::size_t b = 0; b < banks; ++b) {
       cursors[b].head = cursors[b].next = cursors[b].end = start;
       start += counts[b];
     }
     // Each queue grows at its end, in arrival order.
     for (const Request& r : requests) {
-      *cursors[r.bank].end++ = {r.arrival, static_cast<std::uint32_t>(r.row),
-                                r.type};
+      ::new (static_cast<void*>(cursors[r.bank].end++)) Request(r);
     }
   }
 
-  std::unique_ptr<QueuedRequest[]> entries;
+  /// Releases the raw storage; Request is trivially destructible.
+  struct FreeStorage {
+    void operator()(Request* p) const { ::operator delete(p); }
+  };
+  std::unique_ptr<Request[], FreeStorage> entries;
   std::vector<Cursor> cursors;  ///< One per bank.
 };
 
@@ -265,12 +270,15 @@ MemoryController::MemoryController(const TimingTable& table, std::size_t rows,
                                    std::size_t subarrays)
     : table_(table), timing_(table.core), scheduler_(scheduler) {
   table_.Validate();
+  // Requests carry 32-bit row and 16-bit bank indices (request.hpp).
   if (rows > std::numeric_limits<std::uint32_t>::max()) {
-    // The run loops queue rows as 32-bit indices (QueuedRequest).
     throw ConfigError("MemoryController: rows must fit a 32-bit row index");
   }
-  hierarchical_ = table_.IsHierarchical();
   const std::size_t banks = table_.topology.TotalBanks();
+  if (banks > std::size_t{1} << 16) {
+    throw ConfigError("MemoryController: banks must fit a 16-bit bank index");
+  }
+  hierarchical_ = table_.IsHierarchical();
   banks_.reserve(banks);
   policies_.reserve(banks);
   for (std::size_t b = 0; b < banks; ++b) {

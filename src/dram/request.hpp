@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "common/units.hpp"
@@ -10,26 +9,19 @@
 
 namespace vrl::dram {
 
-enum class RequestType { kRead, kWrite };
+enum class RequestType : std::uint8_t { kRead, kWrite };
 
+/// One request, 16 bytes from trace::MapToRequests to the controller's
+/// per-bank queues.  Indices are narrow: the controller rejects more than
+/// 65536 banks or 2^32 - 1 rows, and trace::AddressGeometry the geometries
+/// whose bank or row would not fit.  The bank model never reads a column,
+/// so a request carries none.
 struct Request {
   Cycles arrival = 0;        ///< Cycle the request reaches the controller.
-  std::size_t bank = 0;
-  std::size_t row = 0;
-  std::size_t column = 0;
+  std::uint32_t row = 0;
+  std::uint16_t bank = 0;
   RequestType type = RequestType::kRead;
 };
-
-/// A request as it waits in one bank's queue: 16 bytes, because the bank
-/// is implied by the queue and the bank model never reads the column.  The
-/// controller's run loops copy each run's requests into contiguous
-/// per-bank arrays of these.  Member initializers are left out on purpose,
-/// so a freshly allocated queue costs no zeroing pass before it is filled.
-struct QueuedRequest {
-  Cycles arrival;
-  std::uint32_t row;
-  RequestType type;
-};
-static_assert(sizeof(QueuedRequest) == 16, "QueuedRequest is one 16-byte slot");
+static_assert(sizeof(Request) == 16, "Request is one 16-byte slot");
 
 }  // namespace vrl::dram

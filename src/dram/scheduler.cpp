@@ -36,11 +36,11 @@ SchedulerKind SchedulerFromName(std::string_view name) {
 
 namespace {
 
-/// The one FR-FCFS pick behind every SelectNextRequest overload: the index
-/// of the first pending entry whose row `is_open`, else 0 (the oldest).
-/// FCFS always takes the oldest.
-template <typename Entry, typename IsOpen>
-std::size_t PickNext(SchedulerKind kind, std::span<const Entry> pending,
+/// The one FR-FCFS pick behind both SelectNextRequest overloads: the
+/// index of the first pending request whose row `is_open`, else 0 (the
+/// oldest).  FCFS always takes the oldest.
+template <typename IsOpen>
+std::size_t PickNext(SchedulerKind kind, std::span<const Request> pending,
                      const IsOpen& is_open) {
   if (pending.empty()) {
     throw ConfigError("SelectNextRequest: no pending requests");
@@ -59,26 +59,18 @@ std::size_t PickNext(SchedulerKind kind, std::span<const Entry> pending,
 }  // namespace
 
 std::size_t SelectNextRequest(SchedulerKind kind,
-                              std::span<const QueuedRequest> pending,
+                              std::span<const Request> pending,
                               const Bank& bank) {
   return PickNext(kind, pending,
                   [&](std::size_t row) { return bank.IsRowOpen(row); });
 }
 
 std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
+                              std::span<const Request> pending,
                               std::optional<std::size_t> open_row) {
   // No open row: nothing is "ready", so FR-FCFS degenerates to FCFS.
   return PickNext(open_row.has_value() ? kind : SchedulerKind::kFcfs,
-                  std::span<const Request>(pending),
-                  [&](std::size_t row) { return row == *open_row; });
-}
-
-std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
-                              const Bank& bank) {
-  return PickNext(kind, std::span<const Request>(pending),
-                  [&](std::size_t row) { return bank.IsRowOpen(row); });
+                  pending, [&](std::size_t row) { return row == *open_row; });
 }
 
 namespace {

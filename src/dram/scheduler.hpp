@@ -45,22 +45,16 @@ SchedulerKind SchedulerFromName(std::string_view name);
 /// (non-empty, ordered by arrival) and returns its index in the slice: the
 /// oldest under FCFS; under FR-FCFS the oldest whose row is open in one of
 /// the bank's row buffers (banks with several subarrays have one each),
-/// else the oldest.  The controller's run loops call this form on their
-/// per-bank queues; the overloads below wrap it.
+/// else the oldest.  The controller's run loops call this on their
+/// per-bank queues; a std::vector<Request> converts to the span.
 std::size_t SelectNextRequest(SchedulerKind kind,
-                              std::span<const QueuedRequest> pending,
+                              std::span<const Request> pending,
                               const Bank& bank);
 
-/// The same pick over a vector of requests, given the bank's open row.
+/// The same pick given the bank's open row instead of the bank.
 std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
+                              std::span<const Request> pending,
                               std::optional<std::size_t> open_row);
-
-/// The same pick over a vector of requests, consulting the bank's row
-/// buffers.
-std::size_t SelectNextRequest(SchedulerKind kind,
-                              const std::vector<Request>& pending,
-                              const Bank& bank);
 
 /// Grant accounting across one run, exported by the controller as
 /// `dram.refresh.*` telemetry when a scheduler-coupled policy was active

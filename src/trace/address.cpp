@@ -1,6 +1,27 @@
 #include "trace/address.hpp"
 
+#include <cstdint>
+#include <limits>
+
 namespace vrl::trace {
+
+void AddressGeometry::Validate() const {
+  if (banks == 0 || rows == 0 || columns == 0) {
+    throw ConfigError("AddressGeometry: all dimensions must be non-zero");
+  }
+  if (banks > std::uint64_t{1} << 16) {
+    throw ConfigError("AddressGeometry: banks must fit a 16-bit bank index");
+  }
+  if (rows > std::uint64_t{1} << 32) {
+    throw ConfigError("AddressGeometry: rows must fit a 32-bit row index");
+  }
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t bank_rows = std::uint64_t{banks} * rows;  // <= 2^48
+  if (columns > kMax / bank_rows) {
+    throw ConfigError(
+        "AddressGeometry: banks * rows * columns overflows 64 bits");
+  }
+}
 
 AddressMapper::AddressMapper(const AddressGeometry& geometry)
     : geometry_(geometry) {
@@ -33,11 +54,11 @@ std::vector<dram::Request> MapToRequests(
   requests.reserve(records.size());
   for (const TraceRecord& rec : records) {
     const auto c = mapper.Decode(rec.address);
+    // The mapper's validated geometry keeps bank < 2^16 and row < 2^32.
     dram::Request r;
     r.arrival = rec.cycle;
-    r.bank = c.bank;
-    r.row = c.row;
-    r.column = c.column;
+    r.row = static_cast<std::uint32_t>(c.row);
+    r.bank = static_cast<std::uint16_t>(c.bank);
     r.type = rec.is_write ? dram::RequestType::kWrite : dram::RequestType::kRead;
     requests.push_back(r);
   }

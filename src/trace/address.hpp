@@ -25,11 +25,10 @@ struct AddressGeometry {
     return static_cast<std::uint64_t>(banks) * rows * columns;
   }
 
-  void Validate() const {
-    if (banks == 0 || rows == 0 || columns == 0) {
-      throw ConfigError("AddressGeometry: all dimensions must be non-zero");
-    }
-  }
+  /// \throws vrl::ConfigError unless every dimension is non-zero, a bank
+  /// index fits 16 bits and a row index 32 bits (dram::Request's fields),
+  /// and TotalLines() fits 64 bits.
+  void Validate() const;
 };
 
 /// Maps flat line addresses to (bank, row, column) and back.

@@ -249,7 +249,7 @@ TEST(Bank, ClosedPageTurnsConflictsIntoEmptyActivations) {
   Cycles closed_t = 0;
   for (int i = 0; i < 10; ++i) {
     Request r;
-    r.row = static_cast<std::size_t>(i % 2);
+    r.row = static_cast<std::uint32_t>(i % 2);
     // Spaced far apart: the bank is idle when each request arrives.
     r.arrival = static_cast<Cycles>(i + 1) * 100000;
     open_t = open_bank.ServiceRequest(r);
@@ -536,8 +536,8 @@ TEST(Controller, ServicesAllRequests) {
   for (int i = 0; i < 100; ++i) {
     Request r;
     r.arrival = static_cast<Cycles>(i * 50);
-    r.bank = static_cast<std::size_t>(i % 2);
-    r.row = static_cast<std::size_t>(i % 16);
+    r.bank = static_cast<std::uint16_t>(i % 2);
+    r.row = static_cast<std::uint32_t>(i % 16);
     requests.push_back(r);
   }
   const auto stats = controller.Run(requests, 2 * t.t_refw);
@@ -552,8 +552,8 @@ std::vector<Request> CleanRequests() {
   for (int i = 0; i < 100; ++i) {
     Request r;
     r.arrival = static_cast<Cycles>(i * 50);
-    r.bank = static_cast<std::size_t>(i % 2);
-    r.row = static_cast<std::size_t>(i % 16);
+    r.bank = static_cast<std::uint16_t>(i % 2);
+    r.row = static_cast<std::uint32_t>(i % 16);
     r.type = i % 3 == 0 ? RequestType::kWrite : RequestType::kRead;
     requests.push_back(r);
   }
@@ -673,7 +673,7 @@ TEST(Controller, HierarchicalRunRejectsUpFront) {
 }
 
 TEST(Controller, RejectsRowsBeyond32BitIndex) {
-  // Queued requests carry 32-bit rows; a wider bank must not truncate.
+  // Requests carry 32-bit rows; a wider bank must not truncate.
   const TimingParams t = FastTiming();
   bool factory_called = false;
   const PolicyFactory factory = [&]() -> std::unique_ptr<RefreshPolicy> {
@@ -687,6 +687,26 @@ TEST(Controller, RejectsRowsBeyond32BitIndex) {
   } catch (const ConfigError& e) {
     EXPECT_EQ(std::string(e.what()),
               "MemoryController: rows must fit a 32-bit row index");
+  }
+  EXPECT_FALSE(factory_called);
+}
+
+TEST(Controller, RejectsBanksBeyond16BitIndex) {
+  // Requests carry 16-bit banks; a 65537th bank must not alias bank 0.
+  // Tiny rows keep the test cheap should the check ever run too late.
+  const TimingParams t = FastTiming();
+  bool factory_called = false;
+  const PolicyFactory factory = [&]() -> std::unique_ptr<RefreshPolicy> {
+    factory_called = true;
+    return nullptr;
+  };
+  const std::size_t banks = (std::size_t{1} << 16) + 1;
+  try {
+    MemoryController controller(banks, 1, t, factory);
+    ADD_FAILURE() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "MemoryController: banks must fit a 16-bit bank index");
   }
   EXPECT_FALSE(factory_called);
 }

@@ -75,9 +75,9 @@ std::vector<dram::Request> RandomRequests(std::size_t banks, std::size_t rows,
     }
     dram::Request r;
     r.arrival = at;
-    r.bank = static_cast<std::size_t>(rng() % banks);
+    r.bank = static_cast<std::uint16_t>(rng() % banks);
     row = rng() % 3 == 0 ? static_cast<std::size_t>(rng() % rows) : row;
-    r.row = row;
+    r.row = static_cast<std::uint32_t>(row);
     r.type = rng() % 3 == 0 ? dram::RequestType::kWrite
                             : dram::RequestType::kRead;
     requests.push_back(r);

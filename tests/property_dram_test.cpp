@@ -130,8 +130,8 @@ TEST_P(ControllerAccounting, InvariantsHold) {
     t += rng.UniformInt(200);
     Request r;
     r.arrival = t;
-    r.bank = rng.UniformInt(c.banks);
-    r.row = rng.UniformInt(rows);
+    r.bank = static_cast<std::uint16_t>(rng.UniformInt(c.banks));
+    r.row = static_cast<std::uint32_t>(rng.UniformInt(rows));
     r.type = rng.Bernoulli(0.5) ? RequestType::kWrite : RequestType::kRead;
     requests.push_back(r);
   }

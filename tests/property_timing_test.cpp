@@ -58,9 +58,9 @@ std::vector<Request> RandomStream(std::size_t n, std::size_t banks,
     arrival += static_cast<Cycles>(rng.UniformInt(40));
     Request r;
     r.arrival = arrival;
-    r.bank = static_cast<std::size_t>(rng.UniformInt(banks));
-    r.row = static_cast<std::size_t>(rng.UniformInt(rows));
-    r.column = static_cast<std::size_t>(rng.UniformInt(64));
+    r.bank = static_cast<std::uint16_t>(rng.UniformInt(banks));
+    r.row = static_cast<std::uint32_t>(rng.UniformInt(rows));
+    rng.UniformInt(64);  // the former column draw: keeps the stream seeded
     r.type = rng.UniformInt(2) == 0 ? RequestType::kRead : RequestType::kWrite;
     requests.push_back(r);
   }
@@ -262,8 +262,8 @@ TEST(Hierarchy, ConstraintsBindUnderSameRankContention) {
   for (std::size_t i = 0; i < 400; ++i) {
     Request r;
     r.arrival = static_cast<Cycles>(i);
-    r.bank = i % table.topology.BanksPerRank();  // rank 0 only
-    r.row = i % rows;
+    r.bank = static_cast<std::uint16_t>(i % table.topology.BanksPerRank());
+    r.row = static_cast<std::uint32_t>(i % rows);
     requests.push_back(r);
   }
   controller.Run(requests, table.core.t_refw);

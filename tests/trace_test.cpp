@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -83,6 +85,66 @@ TEST(MapToRequestsTest, PreservesOrderAndTypes) {
   EXPECT_EQ(requests[0].arrival, 10u);
   EXPECT_EQ(requests[1].type, dram::RequestType::kWrite);
   EXPECT_EQ(requests[2].bank, 2u);
+}
+
+/// Validate's message for `g`, or "" when it accepts `g`.
+std::string GeometryError(std::size_t banks, std::size_t rows,
+                          std::size_t columns) {
+  AddressGeometry g;
+  g.banks = banks;
+  g.rows = rows;
+  g.columns = columns;
+  try {
+    g.Validate();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AddressGeometry, RejectsBanksBeyond16BitIndex) {
+  EXPECT_EQ(GeometryError((std::size_t{1} << 16) + 1, 64, 8),
+            "AddressGeometry: banks must fit a 16-bit bank index");
+  EXPECT_EQ(GeometryError(std::size_t{1} << 16, 64, 8), "");
+  // The last bank of the widest geometry keeps its index.
+  AddressGeometry g;
+  g.banks = std::size_t{1} << 16;
+  g.rows = 4;
+  g.columns = 2;
+  const auto requests = MapToRequests({{0, 0xFFFF, false}}, AddressMapper(g));
+  EXPECT_EQ(requests.at(0).bank, 0xFFFFu);
+}
+
+TEST(AddressGeometry, RejectsRowsBeyond32BitIndex) {
+  EXPECT_EQ(GeometryError(4, (std::size_t{1} << 32) + 1, 8),
+            "AddressGeometry: rows must fit a 32-bit row index");
+  EXPECT_EQ(GeometryError(4, std::size_t{1} << 32, 8), "");
+  // The last row of the tallest geometry keeps its index.
+  AddressGeometry g;
+  g.banks = 1;
+  g.rows = std::size_t{1} << 32;
+  g.columns = 1;
+  const AddressMapper mapper(g);
+  const std::uint64_t last = mapper.Encode({0, g.rows - 1, 0});
+  const auto requests = MapToRequests({{0, last, true}}, mapper);
+  EXPECT_EQ(requests.at(0).row, 0xFFFFFFFFu);
+}
+
+TEST(AddressGeometry, RejectsLineCountBeyond64Bits) {
+  // 2^16 * 2^32 * 2^16 = 2^64 lines wraps TotalLines() to 0, and Decode
+  // would divide by it.
+  EXPECT_EQ(GeometryError(std::size_t{1} << 16, std::size_t{1} << 32,
+                          std::size_t{1} << 16),
+            "AddressGeometry: banks * rows * columns overflows 64 bits");
+  EXPECT_EQ(GeometryError(std::size_t{1} << 16, std::size_t{1} << 32,
+                          (std::size_t{1} << 16) - 1),
+            "");
+  // Too many banks already, and TotalLines() would wrap to 0 as well.
+  AddressGeometry g;
+  g.banks = std::size_t{1} << 21;
+  g.rows = std::size_t{1} << 23;
+  g.columns = std::size_t{1} << 20;
+  EXPECT_THROW(AddressMapper{g}, ConfigError);
 }
 
 // ---------------------------------------------------------------------------
